@@ -13,13 +13,13 @@ use uarch::{Machine, Predictor};
 
 use crate::out::{Cfg, Metric, PhaseOut};
 use crate::rng::Rng;
-use crate::stats::{median, quiet, CpuTicks};
+use crate::stats::Stamp;
 use crate::trace::{Timed, Tracer};
 
 /// In-core what-ifs per paper-trio model.
 pub const WHATIFS_PER_BASE: usize = 2;
 /// Set-up repetitions (the reported set-up time is their median).
-const SETUPS: usize = 5;
+const SETUPS: usize = 3;
 /// Warm replays after each cold pass.
 const WARM_PASSES: usize = 4;
 /// Records recomputed through the reference oracles.
@@ -61,17 +61,24 @@ pub fn grid(machines: &[Machine]) -> Vec<(usize, VolumeBlock, String)> {
 struct Pass {
     outcome: StreamOutcome,
     wall_s: f64,
+    /// CPU seconds of the whole process (every worker) during the pass.
+    cpu_s: f64,
     render_ms: f64,
-    /// Share of the VM's CPU time the hypervisor stole during the pass.
-    steal: f64,
     /// Root span of the pass when traced (parent of every predictor span).
     span: u64,
 }
 
 impl Pass {
-    /// Throughput with the pass's steal share, for [`Metric::quiet`].
-    fn kernels_per_s(&self) -> (f64, f64) {
-        (self.outcome.blocks as f64 / self.wall_s, self.steal)
+    /// `(blocks × workers, CPU seconds)`: as a rate, blocks per second of
+    /// CPU time per worker. It equals blocks per wall second while every
+    /// worker is busy, and leaves out time the hypervisor withholds.
+    fn work(&self, threads: usize) -> (f64, f64) {
+        (self.outcome.blocks as f64 * threads as f64, self.cpu_s)
+    }
+
+    /// Share of the workers' wall-clock capacity the pass kept busy.
+    fn utilization(&self, threads: usize) -> f64 {
+        self.cpu_s / (self.wall_s * threads as f64)
     }
 }
 
@@ -116,7 +123,7 @@ fn pass(
     tracer: Option<&Arc<Tracer>>,
 ) -> Result<(Pass, BatchReport), String> {
     let span = tracer.map_or(0, |t| t.id());
-    let ticks = CpuTicks::now();
+    let stamp = Stamp::now();
     let start = Instant::now();
     let (analytical, reference) = predictors(tracer.map(|t| (t, span)));
     let session = Session::new()
@@ -144,12 +151,13 @@ fn pass(
         t.record(t.id(), span, "engine.render", render_start, render_end);
         t.record(span, 0, "engine.pass", start, render_end);
     }
+    let (wall_s, cpu_s) = stamp.elapsed();
     drop(json);
     let pass = Pass {
         outcome,
-        wall_s: render_end.duration_since(start).as_secs_f64(),
+        wall_s,
+        cpu_s,
         render_ms: render_end.duration_since(render_start).as_secs_f64() * 1e3,
-        steal: CpuTicks::now().steal_since(&ticks),
         span,
     };
     Ok((pass, report))
@@ -250,13 +258,10 @@ pub fn run(cfg: &Cfg) -> Result<PhaseOut, String> {
     let (mut compose_ms, mut generate_ms) = (Vec::new(), Vec::new());
     let mut inputs = None;
     for _ in 0..SETUPS {
-        let (ticks, t) = (CpuTicks::now(), Instant::now());
+        let stamp = Stamp::now();
         let (i, c, g) = setup(cfg.seed);
         fresh_dir(&cfg.work.join("corpus"))?;
-        out.setup.push((
-            t.elapsed().as_secs_f64(),
-            CpuTicks::now().steal_since(&ticks),
-        ));
+        out.setup.push(stamp.elapsed().1);
         compose_ms.push(c);
         generate_ms.push(g);
         inputs = Some(i);
@@ -268,7 +273,10 @@ pub fn run(cfg: &Cfg) -> Result<PhaseOut, String> {
 
     let tracer = Tracer::new();
     let traced = cfg.trace.then_some(&tracer);
-    let (mut cold, mut cold_plain, mut warm) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut cold, mut warm) = (Vec::new(), Vec::new());
+    // Untraced twins of the traced cold passes, with the program's `obs`
+    // recorder off and on.
+    let (mut cold_plain, mut cold_obs) = (Vec::new(), Vec::new());
     let mut first: Option<(BatchReport, String)> = None;
     let mut diverged = Vec::new();
     let deadline = Instant::now() + std::time::Duration::from_secs_f64(cfg.seconds);
@@ -288,16 +296,30 @@ pub fn run(cfg: &Cfg) -> Result<PhaseOut, String> {
             diverged.push(format!("round {round} cold"));
         }
         if cfg.trace {
-            // The untraced twin of the traced cold pass, for the overhead.
-            let plain_dir = cfg.work.join("corpus").join(format!("plain-{round}"));
-            fresh_dir(&plain_dir)?;
-            flush_writes()?;
-            let (p, report) = pass(&inputs, &plain_dir, cfg.threads, None)?;
-            if normalised(&report) != reference {
-                diverged.push(format!("round {round} untraced twin"));
+            for recorder in [false, true] {
+                let name = if recorder { "obs" } else { "plain" };
+                let twin_dir = cfg.work.join("corpus").join(format!("{name}-{round}"));
+                fresh_dir(&twin_dir)?;
+                flush_writes()?;
+                if recorder {
+                    obs::enable();
+                }
+                let twin = pass(&inputs, &twin_dir, cfg.threads, None);
+                if recorder {
+                    obs::disable();
+                    drop(obs::take());
+                }
+                let (p, report) = twin?;
+                if normalised(&report) != reference {
+                    diverged.push(format!("round {round} untraced twin ({name})"));
+                }
+                out.attempted += p.outcome.blocks as u64;
+                if recorder {
+                    cold_obs.push(p);
+                } else {
+                    cold_plain.push(p);
+                }
             }
-            out.attempted += p.outcome.blocks as u64;
-            cold_plain.push(p);
         }
         for w in 0..WARM_PASSES {
             let (p, report) = pass(&inputs, &dir, cfg.threads, traced)?;
@@ -309,6 +331,12 @@ pub fn run(cfg: &Cfg) -> Result<PhaseOut, String> {
         }
         out.attempted += c.outcome.blocks as u64;
         cold.push(c);
+        if round == 0 {
+            // Peak RSS over set-up and one round: later rounds repeat the
+            // same work, and how many fit the time depends on the host's
+            // speed, so a peak over all of them would too.
+            out.peak_rss_mb = crate::stats::peak_rss_mb();
+        }
         if Instant::now() >= deadline {
             break;
         }
@@ -335,18 +363,19 @@ pub fn run(cfg: &Cfg) -> Result<PhaseOut, String> {
         format!(
             "{} cold ({} untraced twins), {} warm passes; diverged: {diverged:?}",
             cold.len(),
-            cold_plain.len(),
+            cold_plain.len() + cold_obs.len(),
             warm.len()
         ),
     );
 
-    out.steal = cold
-        .iter()
-        .chain(&warm)
-        .chain(&cold_plain)
-        .map(|p| p.steal)
-        .collect();
-    let kps = |ps: &[Pass]| ps.iter().map(Pass::kernels_per_s).collect::<Vec<_>>();
+    let work = |ps: &[Pass]| ps.iter().map(|p| p.work(cfg.threads)).collect::<Vec<_>>();
+    let rate = |ps: &[Pass]| {
+        let (w, s) = ps.iter().fold((0.0, 0.0), |a, p| {
+            let (w, s) = p.work(cfg.threads);
+            (a.0 + w, a.1 + s)
+        });
+        w / s
+    };
     let plain_cold = if cfg.trace { &cold_plain } else { &cold };
     let mape = |name: &str| {
         first_report
@@ -354,14 +383,14 @@ pub fn run(cfg: &Cfg) -> Result<PhaseOut, String> {
             .map_or(f64::NAN, |s| s.mean_abs * 100.0)
     };
     out.metrics = vec![
-        Metric::quiet("cold_kernels_per_s", "blocks/s", &kps(plain_cold)),
-        Metric::quiet("warm_kernels_per_s", "blocks/s", &kps(&warm)),
+        Metric::rate("cold_kernels_per_s", "blocks/s", &work(plain_cold)),
+        Metric::rate("warm_kernels_per_s", "blocks/s", &work(&warm)),
         Metric::once("incore_mape_pct", "%", mape("incore"), inputs.grid.len()),
         Metric::once("mca_mape_pct", "%", mape("mca"), inputs.grid.len()),
     ];
     out.layers = vec![
-        Metric::median("kernels.generate_ms", "ms", &generate_ms),
-        Metric::median("uarch.compose_ms", "ms", &compose_ms),
+        Metric::repeated("kernels.generate_ms", "ms", &generate_ms),
+        Metric::repeated("uarch.compose_ms", "ms", &compose_ms),
     ];
     if cfg.trace {
         for (layer, calls, busy) in [
@@ -370,9 +399,9 @@ pub fn run(cfg: &Cfg) -> Result<PhaseOut, String> {
             ("exec", "exec.calls", "exec.busy_ms"),
         ] {
             let spans = per(&cold, |p| tracer.busy(p.span, layer).0 as f64);
-            out.layers.push(Metric::median(calls, "count", &spans));
+            out.layers.push(Metric::repeated(calls, "count", &spans));
             let ms = per(&cold, |p| tracer.busy(p.span, layer).1);
-            out.layers.push(Metric::median(busy, "ms", &ms));
+            out.layers.push(Metric::repeated(busy, "ms", &ms));
         }
         let disk = |p: &Pass| p.outcome.disk.unwrap_or_default();
         let ratio = |p: &Pass| {
@@ -387,59 +416,67 @@ pub fn run(cfg: &Cfg) -> Result<PhaseOut, String> {
             .iter()
             .map(|c| c.last().expect("rows").1)
             .collect();
-        let quiet_median = |ps: &[Pass]| median(&quiet(&kps(ps)));
         out.layers.extend([
-            Metric::median(
+            Metric::repeated(
                 "isa.parse_ms",
                 "ms",
                 &per(&cold, |p| p.outcome.timings.parse_ms),
             ),
-            Metric::median(
+            Metric::repeated(
                 "engine.cache_ms.cold",
                 "ms",
                 &per(&cold, |p| p.outcome.timings.cache_ms),
             ),
-            Metric::median(
+            Metric::repeated(
                 "engine.cache_ms.warm",
                 "ms",
                 &per(&warm, |p| p.outcome.timings.cache_ms),
             ),
-            Metric::median(
+            Metric::repeated(
                 "engine.disk.hits",
                 "count",
                 &per(&cold, |p| disk(p).hits as f64),
             ),
-            Metric::median(
+            Metric::repeated(
                 "engine.disk.misses",
                 "count",
                 &per(&cold, |p| disk(p).misses as f64),
             ),
-            Metric::median(
+            Metric::repeated(
                 "engine.disk.writes",
                 "count",
                 &per(&cold, |p| disk(p).writes as f64),
             ),
-            Metric::median("engine.disk.cold_hit_ratio", "ratio", &per(&cold, ratio)),
-            Metric::median("engine.disk.warm_hit_ratio", "ratio", &per(&warm, ratio)),
-            Metric::median("engine.render_ms", "ms", &per(&warm, |p| p.render_ms)),
-            Metric::median("engine.unattributed_frac", "ratio", &unattributed),
+            Metric::repeated("engine.disk.cold_hit_ratio", "ratio", &per(&cold, ratio)),
+            Metric::repeated("engine.disk.warm_hit_ratio", "ratio", &per(&warm, ratio)),
+            Metric::repeated("engine.render_ms", "ms", &per(&warm, |p| p.render_ms)),
+            Metric::repeated("engine.unattributed_frac", "ratio", &unattributed),
+            Metric::repeated(
+                "engine.cold_utilization",
+                "ratio",
+                &per(&cold_plain, |p| p.utilization(cfg.threads)),
+            ),
             Metric::once(
                 "obs.overhead_pct",
                 "%",
-                (quiet_median(&cold_plain) / quiet_median(&cold) - 1.0) * 100.0,
-                cold.len(),
+                (rate(&cold_plain) / rate(&cold_obs) - 1.0) * 100.0,
+                cold_obs.len(),
             ),
         ]);
-        // The composition row of the median pass: its shares sum to one.
+        // The composition row of the median pass. Its remainder is what
+        // the measured layers leave of wall × workers, so the measured
+        // busy time must not exceed that capacity (2 % timer slack).
         let mut order: Vec<usize> = (0..compositions.len()).collect();
         order.sort_by(|&a, &b| unattributed[a].total_cmp(&unattributed[b]));
         out.composition = compositions[order[order.len() / 2]].clone();
-        let sum: f64 = out.composition.iter().map(|r| r.1).sum();
-        let rest = out.composition.last().expect("rows").1;
+        let most_attributed = 1.0 - unattributed[order[0]];
         out.check(
-            "corpus.composition_accounts_for_wall",
-            (sum - 1.0).abs() < 1e-9 && rest > -0.02,
-            format!("shares sum to {sum}, unattributed {rest}"),
+            "corpus.attributed_within_capacity",
+            most_attributed < 1.02,
+            format!(
+                "layer busy time is at most {most_attributed:.4} of wall × workers over {} traced cold passes",
+                cold.len()
+            ),
         );
         tracer
             .write(&cfg.work.join("trace-corpus.ndjson"))

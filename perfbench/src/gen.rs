@@ -201,11 +201,24 @@ impl ServeRequest {
     }
 }
 
-fn serve_request(rng: &mut Rng, label: String, sim_share: u64, tag: Option<&str>) -> ServeRequest {
+/// Request `index` of a stratified stream. The model, the kernel and the
+/// `sim` flag cycle with the index (6 models, 13 kernels and the `sim`
+/// period are pairwise coprime, so every combination comes round), and the
+/// seed draws only the code-generation shape: any few hundred consecutive
+/// requests carry the same mix of models, kernels and simulator work
+/// whatever the seed, which keeps the serve metrics from following the
+/// seed's luck.
+fn serve_request(
+    rng: &mut Rng,
+    label: String,
+    index: u64,
+    sim_every: u64,
+    tag: Option<&str>,
+) -> ServeRequest {
     let ids = uarch::registry::ids();
-    let model = *rng.pick(&ids);
+    let model = ids[index as usize % ids.len()];
     let machine = uarch::registry::machine(model).expect("registry ids resolve");
-    let kernel = *rng.pick(&StreamKernel::ALL);
+    let kernel = StreamKernel::ALL[index as usize % StreamKernel::ALL.len()];
     let cfg = gen_cfg(rng, kernel, &machine);
     let mut asm = emit(kernel, &cfg, &machine);
     if let Some(tag) = tag {
@@ -222,20 +235,23 @@ fn serve_request(rng: &mut Rng, label: String, sim_share: u64, tag: Option<&str>
         model,
         label,
         asm,
-        sim: rng.chance(1, sim_share),
+        sim: index % sim_every == sim_every - 1,
     }
 }
 
-/// The hot set: `n` requests that four in five requests repeat.
+/// The hot set: `n` requests that four in five requests repeat; one in
+/// seven carries `sim:true`.
 pub fn hot_set(seed: u64, n: usize) -> Vec<ServeRequest> {
     let mut rng = Rng::derive(seed, &[3]);
-    (0..n)
-        .map(|i| serve_request(&mut rng, format!("hot-{i}"), 8, None))
+    (0..n as u64)
+        .map(|i| serve_request(&mut rng, format!("hot-{i}"), i, 7, None))
         .collect()
 }
 
-/// Request `i` of connection `conn`: a hot-set index four times in five,
-/// else a never-seen kernel. Depends only on `(seed, conn, i)`.
+/// Request `i` of connection `conn`: a never-seen kernel every fifth
+/// request (the connections offset from each other), else a seeded
+/// hot-set index; one never-seen request in seventeen carries `sim:true`.
+/// Depends only on `(seed, conn, i)`.
 pub enum Pick {
     Hot(usize),
     Miss(ServeRequest),
@@ -243,12 +259,13 @@ pub enum Pick {
 
 pub fn pick_request(seed: u64, conn: u64, i: u64, hot_len: usize) -> Pick {
     let mut rng = Rng::derive(seed, &[4, conn, i]);
-    if rng.chance(1, 5) {
+    if (i + 2 * conn) % 5 == 4 {
         let tag = format!("request {conn}.{i}");
         Pick::Miss(serve_request(
             &mut rng,
             format!("miss-{conn}-{i}"),
-            16,
+            i / 5,
+            17,
             Some(&tag),
         ))
     } else {

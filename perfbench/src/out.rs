@@ -1,10 +1,8 @@
-//! What one phase process reports: end-to-end and per-layer metrics with
-//! their spread, correctness checks, and an output digest, as one JSON
-//! line on stdout.
+//! What one phase process reports: end-to-end and per-layer metrics as
+//! samples per repetition, correctness checks, and an output digest, as
+//! one JSON line on stdout.
 
 use std::path::PathBuf;
-
-use crate::stats::{quiet, summarize, Summary};
 
 /// Settings every phase receives.
 pub struct Cfg {
@@ -19,59 +17,70 @@ pub struct Cfg {
     pub work: PathBuf,
 }
 
-/// One metric: its value plus the quartiles and size of the sample it
-/// was taken from.
+/// One metric as this process measured it: one value per repetition
+/// (`run.py` pools them over the processes of a run and takes the median
+/// and quartiles), and the number of raw samples behind them. A rate also
+/// carries each repetition's work and CPU seconds, and `run.py` reports
+/// it as total work / total seconds.
 pub struct Metric {
     pub name: &'static str,
     pub unit: &'static str,
-    pub value: f64,
-    pub q1: f64,
-    pub q3: f64,
+    pub samples: Vec<f64>,
     pub n: usize,
+    /// `(work, seconds)` per repetition, for a rate.
+    pub parts: Vec<(f64, f64)>,
 }
 
 impl Metric {
-    /// The median of repeated measurements.
-    pub fn median(name: &'static str, unit: &'static str, values: &[f64]) -> Metric {
-        let Summary { n, q1, median, q3 } = summarize(values);
+    /// One value per repetition (pass, sweep, set-up).
+    pub fn repeated(name: &'static str, unit: &'static str, values: &[f64]) -> Metric {
         Metric {
             name,
             unit,
-            value: median,
-            q1,
-            q3,
-            n,
+            samples: values.to_vec(),
+            n: values.len(),
+            parts: Vec::new(),
         }
     }
 
-    /// The median over the repetitions the hypervisor disturbed least:
-    /// `(value, steal share)` pairs (see [`crate::stats::quiet`]).
-    pub fn quiet(name: &'static str, unit: &'static str, reps: &[(f64, f64)]) -> Metric {
-        Metric::median(name, unit, &quiet(reps))
+    /// Work per second, from `(work, seconds)` per repetition.
+    pub fn rate(name: &'static str, unit: &'static str, parts: &[(f64, f64)]) -> Metric {
+        Metric {
+            parts: parts.to_vec(),
+            ..Metric::repeated(
+                name,
+                unit,
+                &parts.iter().map(|p| p.0 / p.1).collect::<Vec<_>>(),
+            )
+        }
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"value\":{},\"unit\":\"{}\",\"q1\":{},\"q3\":{},\"n\":{}}}",
-            num(self.value),
-            self.unit,
-            num(self.q1),
-            num(self.q3),
-            self.n
-        )
-    }
-
-    /// A value computed once (exact, or a quantile of raw samples already
-    /// taken by the caller).
+    /// A value computed once from `n` raw samples (exact, or a quantile of
+    /// samples already taken by the caller).
     pub fn once(name: &'static str, unit: &'static str, value: f64, n: usize) -> Metric {
         Metric {
             name,
             unit,
-            value,
-            q1: value,
-            q3: value,
+            samples: vec![value],
             n,
+            parts: Vec::new(),
         }
+    }
+
+    fn to_json(&self) -> String {
+        let samples: Vec<String> = self.samples.iter().map(|&v| num(v)).collect();
+        let parts: Vec<String> = self
+            .parts
+            .iter()
+            .map(|&(w, s)| format!("[{},{}]", num(w), num(s)))
+            .collect();
+        format!(
+            "{{\"unit\":\"{}\",\"samples\":[{}],\"parts\":[{}],\"n\":{}}}",
+            self.unit,
+            samples.join(","),
+            parts.join(","),
+            self.n
+        )
     }
 }
 
@@ -83,10 +92,8 @@ pub struct Check {
 
 #[derive(Default)]
 pub struct PhaseOut {
-    /// Seconds and steal share of each set-up repetition.
-    pub setup: Vec<(f64, f64)>,
-    /// Steal share of every timed repetition (passes, sweeps, windows).
-    pub steal: Vec<f64>,
+    /// CPU seconds of each set-up repetition.
+    pub setup: Vec<f64>,
     pub metrics: Vec<Metric>,
     pub layers: Vec<Metric>,
     pub checks: Vec<Check>,
@@ -96,6 +103,9 @@ pub struct PhaseOut {
     pub failed: u64,
     /// Digest of the phase's normalised output.
     pub digest: u64,
+    /// Peak RSS up to the end of the timed section, before the
+    /// correctness checks add their own allocations.
+    pub peak_rss_mb: f64,
     /// Layer shares of wall × workers (traced corpus only).
     pub composition: Vec<(&'static str, f64)>,
     /// Free-form facts about the inputs.
@@ -141,16 +151,12 @@ impl PhaseOut {
             .iter()
             .map(|(k, v)| format!("\"{k}\":{}", quote(v)))
             .collect();
-        let setup = Metric::quiet("setup_s", "s", &self.setup);
-        let steal = summarize(&self.steal);
+        let setup = Metric::repeated("setup_s", "s", &self.setup);
         format!(
-            "{{\"phase\":\"{phase}\",\"nproc\":{},\"setup_s\":{},\"steal\":{{\"median\":{},\"q3\":{},\"n\":{}}},\"peak_rss_mb\":{},\"attempted\":{},\"failed\":{},\"digest\":\"{:016x}\",\"metrics\":{},\"layers\":{},\"checks\":[{}],\"composition\":[{}],\"inputs\":{{{}}}}}",
+            "{{\"phase\":\"{phase}\",\"nproc\":{},\"setup_s\":{},\"peak_rss_mb\":{},\"attempted\":{},\"failed\":{},\"digest\":\"{:016x}\",\"metrics\":{},\"layers\":{},\"checks\":[{}],\"composition\":[{}],\"inputs\":{{{}}}}}",
             nproc,
             setup.to_json(),
-            num(steal.median),
-            num(steal.q3),
-            steal.n,
-            num(crate::stats::peak_rss_mb()),
+            num(self.peak_rss_mb),
             self.attempted,
             self.failed,
             self.digest,

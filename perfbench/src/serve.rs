@@ -12,14 +12,18 @@ use cli::serve::{ServeOpts, ServerHandle};
 
 use crate::gen::{self, Pick, ServeRequest};
 use crate::out::{Cfg, Metric, PhaseOut};
-use crate::stats::{quantile, quiet_limit, supported_tail_pct, CpuTicks};
+use crate::stats::{quantile, supported_tail_pct, Stamp};
 use crate::trace::Tracer;
 
 /// Hot-set size (well below the default 1024-entry response LRU).
 pub const HOT: usize = 256;
-const SETUPS: usize = 5;
-/// Steal-accounting window of the closed loop.
-const WINDOW: Duration = Duration::from_millis(250);
+/// Requests every connection sends however short the loop: the output
+/// digest covers the replies to these, so it does not depend on how many
+/// requests the loop's time allowed.
+const DIGESTED: u64 = 200;
+/// Set-ups per process: each warms the response LRU with the whole hot
+/// set, as much predictor work as 256 never-seen requests.
+const SETUPS: usize = 2;
 
 struct Client {
     writer: TcpStream,
@@ -127,8 +131,6 @@ struct Miss {
 #[derive(Clone, Copy)]
 struct Sample {
     rtt_ns: u64,
-    /// Completion time, from the start of the loop.
-    done: Duration,
     /// Hot-set index, or `None` for a never-seen request.
     hot: Option<usize>,
     /// Index into the connection's misses when `hot` is `None`.
@@ -153,7 +155,7 @@ struct Loop<'a> {
     hot: &'a [ServeRequest],
     /// The warm-up reply to each hot request.
     warm: &'a [String],
-    /// Releases the clients and the steal monitor together.
+    /// Releases the clients together.
     barrier: Barrier,
     start: OnceLock<Instant>,
     tracer: Option<&'a Tracer>,
@@ -165,7 +167,7 @@ fn client_loop(lp: &Loop, conn: u64, client: &mut Client) -> ClientLog {
     let t0 = *lp.start.get_or_init(Instant::now);
     let deadline = t0 + Duration::from_secs_f64(lp.cfg.seconds);
     let mut i = 0u64;
-    while Instant::now() < deadline {
+    while Instant::now() < deadline || i < DIGESTED {
         let pick = gen::pick_request(lp.cfg.seed, conn, i, lp.hot.len());
         let id = (conn << 32) | i;
         let frame = match &pick {
@@ -198,7 +200,6 @@ fn client_loop(lp: &Loop, conn: u64, client: &mut Client) -> ClientLog {
         }
         let mut sample = Sample {
             rtt_ns: got.duration_since(sent).as_nanos() as u64,
-            done: got.duration_since(t0),
             hot: None,
             miss: 0,
         };
@@ -225,28 +226,6 @@ fn client_loop(lp: &Loop, conn: u64, client: &mut Client) -> ClientLog {
         }
     }
     log
-}
-
-/// Steal share per [`WINDOW`] of the loop, as `(start, end, share)` from
-/// the loop's start; runs on its own (sleeping) thread until the loop's
-/// deadline.
-fn steal_windows(lp: &Loop) -> Vec<(Duration, Duration, f64)> {
-    lp.barrier.wait();
-    let t0 = *lp.start.get_or_init(Instant::now);
-    let deadline = t0 + Duration::from_secs_f64(lp.cfg.seconds);
-    let mut prev = (Duration::ZERO, CpuTicks::now());
-    let mut windows = Vec::new();
-    loop {
-        let now = Instant::now();
-        if now >= deadline {
-            break;
-        }
-        std::thread::sleep(WINDOW.min(deadline - now));
-        let mark = (t0.elapsed(), CpuTicks::now());
-        windows.push((prev.0, mark.0, mark.1.steal_since(&prev.1)));
-        prev = mark;
-    }
-    windows
 }
 
 /// Numbers from the server's own `metrics` response.
@@ -321,12 +300,9 @@ pub fn run(cfg: &Cfg) -> Result<PhaseOut, String> {
     let mut generate_ms = Vec::new();
     let mut ready = None;
     for k in 0..SETUPS {
-        let (ticks, t) = (CpuTicks::now(), Instant::now());
+        let stamp = Stamp::now();
         let (server, hot, warm, g) = setup(cfg)?;
-        out.setup.push((
-            t.elapsed().as_secs_f64(),
-            CpuTicks::now().steal_since(&ticks),
-        ));
+        out.setup.push(stamp.elapsed().1);
         generate_ms.push(g);
         if k + 1 < SETUPS {
             server.stop()?;
@@ -344,27 +320,28 @@ pub fn run(cfg: &Cfg) -> Result<PhaseOut, String> {
         cfg,
         hot: &hot,
         warm: &warm,
-        barrier: Barrier::new(server.clients.len() + 1),
+        barrier: Barrier::new(server.clients.len()),
         start: OnceLock::new(),
         tracer: cfg.trace.then_some(&*tracer),
     };
-    let (logs, windows): (Vec<ClientLog>, _) = std::thread::scope(|s| {
+    let stamp = Stamp::now();
+    let logs: Vec<ClientLog> = std::thread::scope(|s| {
         let lp = &lp;
-        let monitor = s.spawn(move || steal_windows(lp));
         let handles: Vec<_> = server
             .clients
             .iter_mut()
             .enumerate()
             .map(|(c, client)| s.spawn(move || client_loop(lp, c as u64, client)))
             .collect();
-        let logs = handles
+        handles
             .into_iter()
             .map(|h| h.join().expect("client thread panicked"))
-            .collect();
-        (logs, monitor.join().expect("steal monitor panicked"))
+            .collect()
     });
+    let (loop_wall_s, loop_cpu_s) = stamp.elapsed();
     let after = server_metrics(&mut server.clients[0])?;
     let summary = server.stop()?;
+    out.peak_rss_mb = crate::stats::peak_rss_mb();
     out.inputs
         .push(("server_summary", summary.render().trim_end().to_string()));
 
@@ -409,25 +386,19 @@ pub fn run(cfg: &Cfg) -> Result<PhaseOut, String> {
             bad.first()
         ),
     );
-    let digests: String = distinct
+    let misses = logs.iter().flat_map(|l| &l.misses);
+    let digests: String = distinct[..HOT]
         .iter()
         .map(|(req, d)| format!("{} {d:016x}\n", req.label))
+        .chain(
+            misses
+                .filter(|m| m.i < DIGESTED)
+                .map(|m| format!("{}.{} {:016x}\n", m.conn, m.i, m.digest)),
+        )
         .collect();
     out.digest = crate::stats::fnv1a(digests.as_bytes());
 
-    // Metrics from the raw samples of the quiet windows (`stats::quiet`).
-    out.steal = windows.iter().map(|w| w.2).collect();
-    let limit = quiet_limit(windows.iter().map(|w| w.2));
-    let quiet_windows: Vec<_> = windows.iter().filter(|w| w.2 <= limit).collect();
-    let in_quiet = |s: &Sample| quiet_windows.iter().any(|w| w.0 <= s.done && s.done < w.1);
-    let quiet_s: f64 = quiet_windows
-        .iter()
-        .map(|w| (w.1 - w.0).as_secs_f64())
-        .sum();
-    out.inputs.push((
-        "quiet_windows",
-        format!("{} of {}", quiet_windows.len(), windows.len()),
-    ));
+    // Metrics from the raw round-trip samples.
     let mut all: Vec<f64> = Vec::new();
     let mut hits: Vec<f64> = Vec::new();
     let mut misses: Vec<f64> = Vec::new();
@@ -437,7 +408,7 @@ pub fn run(cfg: &Cfg) -> Result<PhaseOut, String> {
         .map(|r| report_wall_ms(cli::proto::extract_report(r).unwrap_or("")))
         .collect();
     for l in &logs {
-        for s in l.samples.iter().filter(|s| in_quiet(s)) {
+        for s in &l.samples {
             let ms = s.rtt_ns as f64 / 1e6;
             all.push(ms);
             let wall = match s.hot {
@@ -461,17 +432,27 @@ pub fn run(cfg: &Cfg) -> Result<PhaseOut, String> {
         "supported_tail_pct",
         supported_tail_pct(all.len()).to_string(),
     ));
-    out.metrics = vec![
-        Metric::once(
-            "requests_per_s",
-            "req/s",
-            all.len() as f64 / quiet_s,
-            all.len(),
-        ),
+    // Throughput over the process's CPU time (server and clients):
+    // `requests × nproc / CPU seconds`. It equals requests per wall second
+    // while every CPU is busy, and leaves out time the hypervisor
+    // withholds.
+    let nproc = cfg.threads as f64;
+    out.inputs.push((
+        "wall_requests_per_s",
+        format!("{}", all.len() as f64 / loop_wall_s),
+    ));
+    out.metrics = vec![Metric::rate(
+        "requests_per_s",
+        "req/s",
+        &[(all.len() as f64 * nproc, loop_cpu_s)],
+    )];
+    // The client round trips: measured like end-to-end metrics but
+    // reported with the layers, without a bound (see README).
+    out.layers = vec![
+        Metric::repeated("kernels.generate_ms", "ms", &generate_ms),
         Metric::once("p50_ms", "ms", quantile(&all, 0.50), all.len()),
         Metric::once("p99_ms", "ms", quantile(&all, 0.99), all.len()),
     ];
-    out.layers = vec![Metric::median("kernels.generate_ms", "ms", &generate_ms)];
     if cfg.trace {
         let d = |f: fn(&ServerMetrics) -> f64| f(&after) - f(&before);
         out.layers.extend([
@@ -503,6 +484,12 @@ pub fn run(cfg: &Cfg) -> Result<PhaseOut, String> {
                 misses.len(),
             ),
             Metric::once("serve.wire_ms", "ms", quantile(&wire, 0.5), wire.len()),
+            Metric::once(
+                "serve.utilization",
+                "ratio",
+                loop_cpu_s / (loop_wall_s * nproc),
+                all.len(),
+            ),
         ]);
         tracer
             .write(&cfg.work.join("trace-serve.ndjson"))

@@ -1,5 +1,7 @@
 //! Order statistics over raw samples, plus the tiny helpers every phase
-//! shares (content digests, peak RSS).
+//! shares (content digests, CPU clocks, peak RSS).
+
+use std::time::Instant;
 
 /// Linear-interpolation quantile (`q` in `0..=1`) of an ascending slice.
 pub fn quantile(sorted: &[f64], q: f64) -> f64 {
@@ -13,30 +15,6 @@ pub fn quantile(sorted: &[f64], q: f64) -> f64 {
             sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
         }
     }
-}
-
-/// Median and quartiles of a sample, with its size.
-#[derive(Debug, Clone, Copy)]
-pub struct Summary {
-    pub n: usize,
-    pub q1: f64,
-    pub median: f64,
-    pub q3: f64,
-}
-
-pub fn summarize(values: &[f64]) -> Summary {
-    let mut v = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    Summary {
-        n: v.len(),
-        q1: quantile(&v, 0.25),
-        median: quantile(&v, 0.5),
-        q3: quantile(&v, 0.75),
-    }
-}
-
-pub fn median(values: &[f64]) -> f64 {
-    summarize(values).median
 }
 
 /// The highest whole percentile that still leaves at least ten samples
@@ -58,67 +36,47 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Aggregate CPU tick counters of the VM (`/proc/stat`): how much CPU
-/// time the hypervisor withheld ("steal") out of all time accounted.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CpuTicks {
-    steal: u64,
-    total: u64,
+/// CPU time this process has used so far, in seconds: the sum over its
+/// threads of their time on a CPU (`CLOCK_PROCESS_CPUTIME_ID`, 64-bit
+/// Linux). On a guest kernel with paravirtual steal-time accounting, time
+/// the hypervisor withholds from the VM is not in it, unlike wall time.
+pub fn process_cpu_s() -> f64 {
+    #[repr(C)]
+    struct Timespec {
+        sec: i64,
+        nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
+    }
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    let mut ts = Timespec { sec: 0, nsec: 0 };
+    // SAFETY: `ts` is a valid, writable `struct timespec` for the call.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed");
+    ts.sec as f64 + ts.nsec as f64 * 1e-9
 }
 
-impl CpuTicks {
-    /// Read the counters now (zeros where `/proc/stat` is unavailable, so
-    /// every repetition then counts as quiet).
-    pub fn now() -> CpuTicks {
-        let stat = std::fs::read_to_string("/proc/stat").unwrap_or_default();
-        let fields: Vec<u64> = stat
-            .lines()
-            .next()
-            .unwrap_or("")
-            .split_whitespace()
-            .skip(1)
-            .filter_map(|f| f.parse().ok())
-            .collect();
-        CpuTicks {
-            steal: fields.get(7).copied().unwrap_or(0),
-            total: fields.iter().sum(),
+/// Wall clock and process CPU clock read together.
+#[derive(Debug, Clone, Copy)]
+pub struct Stamp {
+    wall: Instant,
+    cpu_s: f64,
+}
+
+impl Stamp {
+    pub fn now() -> Stamp {
+        Stamp {
+            wall: Instant::now(),
+            cpu_s: process_cpu_s(),
         }
     }
 
-    /// Share of the VM's CPU time stolen between `earlier` and `self`.
-    pub fn steal_since(&self, earlier: &CpuTicks) -> f64 {
-        let total = self.total.saturating_sub(earlier.total);
-        if total == 0 {
-            0.0
-        } else {
-            self.steal.saturating_sub(earlier.steal) as f64 / total as f64
-        }
+    /// `(wall seconds, CPU seconds)` since `self`.
+    pub fn elapsed(&self) -> (f64, f64) {
+        let cpu_s = process_cpu_s() - self.cpu_s;
+        (self.wall.elapsed().as_secs_f64(), cpu_s)
     }
-}
-
-/// Steal shares up to this count as quiet whatever the rest of the run
-/// saw: below it the steal's effect is within the timing noise, and
-/// keeping every such repetition keeps the sample large.
-const QUIET_FLOOR: f64 = 0.05;
-
-/// The repetitions the hypervisor disturbed least: `(value, steal share)`
-/// pairs in, the values of the least-stolen quarter (and of every
-/// repetition at or under [`QUIET_FLOOR`]) out. On a quiet host every
-/// repetition is kept; on a contended one, the stolen ones are set aside
-/// instead of skewing the median.
-pub fn quiet(reps: &[(f64, f64)]) -> Vec<f64> {
-    let limit = quiet_limit(reps.iter().map(|r| r.1));
-    reps.iter().filter(|r| r.1 <= limit).map(|r| r.0).collect()
-}
-
-/// The steal share up to which a repetition counts as quiet.
-pub fn quiet_limit(steal: impl Iterator<Item = f64>) -> f64 {
-    let mut steal: Vec<f64> = steal.collect();
-    steal.sort_by(f64::total_cmp);
-    let quarter = steal.len().div_ceil(4).max(1);
-    steal
-        .get(quarter - 1)
-        .map_or(QUIET_FLOOR, |s| s.max(QUIET_FLOOR))
 }
 
 /// Peak resident set of this process in MB (`VmHWM`).
@@ -137,19 +95,9 @@ mod tests {
 
     #[test]
     fn quantiles_interpolate() {
-        let s = summarize(&[4.0, 1.0, 3.0, 2.0, 5.0]);
-        assert_eq!((s.q1, s.median, s.q3), (2.0, 3.0, 4.0));
+        let v = [1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!((quantile(&v, 0.25), quantile(&v, 0.75)), (2.0, 4.0));
         assert_eq!(quantile(&[1.0, 2.0], 0.5), 1.5);
-    }
-
-    #[test]
-    fn quiet_keeps_the_least_stolen_quarter() {
-        let reps = [(1.0, 0.08), (2.0, 0.3), (3.0, 0.1), (4.0, 0.2)];
-        assert_eq!(quiet(&reps), vec![1.0]);
-        let reps = [(1.0, 0.0), (2.0, 0.3), (3.0, 0.1), (4.0, 0.04)];
-        assert_eq!(quiet(&reps), vec![1.0, 4.0]);
-        let calm = [(1.0, 0.0), (2.0, 0.045), (3.0, 0.01)];
-        assert_eq!(quiet(&calm), vec![1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -11,12 +11,12 @@ use uarch::Machine;
 
 use crate::out::{Cfg, Metric, PhaseOut};
 use crate::rng::Rng;
-use crate::stats::CpuTicks;
+use crate::stats::Stamp;
 use crate::trace::Tracer;
 
 /// Memory what-ifs per paper-trio model.
 pub const WHATIFS_PER_BASE: usize = 4;
-const SETUPS: usize = 5;
+const SETUPS: usize = 3;
 /// Points recomputed through the per-access oracle.
 const ORACLE_POINTS: usize = 3;
 
@@ -36,8 +36,11 @@ fn setup(seed: u64) -> (Inputs, f64, f64) {
     (Inputs { machines, counts }, compose_ms, generate_ms)
 }
 
-/// Lines one base simulation streams: 4× the per-core cache capacity, at
-/// least 8 MiB (as `storebench` sizes it).
+/// Lines one standard-store base simulation streams: 4× the per-core
+/// cache capacity, at least 8 MiB. This mirrors the sizing rule inside
+/// `memhier::storebench` (the working set of its per-line base
+/// simulation), which `StreamOutcome` does not report;
+/// `tests::requested_lines_match_storebench` pins the two together.
 fn requested_lines(m: &Machine) -> u64 {
     let slice: u64 = m
         .caches
@@ -56,9 +59,8 @@ fn requested_lines(m: &Machine) -> u64 {
 
 #[derive(Default)]
 struct Sweep {
-    wall_s: f64,
-    /// Share of the VM's CPU time the hypervisor stole during the sweep.
-    steal: f64,
+    /// CPU seconds of the sweep (one thread).
+    cpu_s: f64,
     points: usize,
     sweeps: usize,
     std_ms: f64,
@@ -88,7 +90,7 @@ impl Sweep {
 }
 
 fn sweep(inputs: &Inputs, tracer: Option<&Tracer>) -> Sweep {
-    let ticks = CpuTicks::now();
+    let stamp = Stamp::now();
     let start = Instant::now();
     let root = tracer.map_or(0, |t| t.id());
     let mut s = Sweep::default();
@@ -137,8 +139,7 @@ fn sweep(inputs: &Inputs, tracer: Option<&Tracer>) -> Sweep {
     if let Some(tr) = tracer {
         tr.record(root, 0, "memhier.pass", start, end);
     }
-    s.wall_s = end.duration_since(start).as_secs_f64();
-    s.steal = CpuTicks::now().steal_since(&ticks);
+    s.cpu_s = stamp.elapsed().1;
     s
 }
 
@@ -239,12 +240,9 @@ pub fn run(cfg: &Cfg) -> Result<PhaseOut, String> {
     let (mut compose_ms, mut generate_ms) = (Vec::new(), Vec::new());
     let mut inputs = None;
     for _ in 0..SETUPS {
-        let (ticks, t) = (CpuTicks::now(), Instant::now());
+        let stamp = Stamp::now();
         let (i, c, g) = setup(cfg.seed);
-        out.setup.push((
-            t.elapsed().as_secs_f64(),
-            CpuTicks::now().steal_since(&ticks),
-        ));
+        out.setup.push(stamp.elapsed().1);
         compose_ms.push(c);
         generate_ms.push(g);
         inputs = Some(i);
@@ -256,23 +254,35 @@ pub fn run(cfg: &Cfg) -> Result<PhaseOut, String> {
     let tracer = Tracer::new();
     let traced = cfg.trace.then_some(&*tracer);
     let deadline = Instant::now() + std::time::Duration::from_secs_f64(cfg.seconds);
+    // Every sweep after the first is compared with it and then drops its
+    // points, so memory does not grow with the number of sweeps.
+    let mut first: Option<(Sweep, String)> = None;
     let mut sweeps = Vec::new();
+    let mut repeat = 0;
     loop {
-        let s = sweep(&inputs, traced);
+        let mut s = sweep(&inputs, traced);
         out.attempted += s.points as u64;
-        sweeps.push(s);
+        match &first {
+            Some((_, reference)) => {
+                repeat += usize::from(s.digest_text() != *reference);
+                s.results = Vec::new();
+                sweeps.push(s);
+            }
+            None => {
+                let text = s.digest_text();
+                first = Some((s, text));
+            }
+        }
         if Instant::now() >= deadline {
             break;
         }
     }
+    out.peak_rss_mb = crate::stats::peak_rss_mb();
+    let (first, reference) = first.expect("at least one sweep");
     out.inputs
-        .push(("points_per_sweep", sweeps[0].points.to_string()));
-    let reference = sweeps[0].digest_text();
+        .push(("points_per_sweep", first.points.to_string()));
     out.digest = crate::stats::fnv1a(reference.as_bytes());
-    let repeat = sweeps
-        .iter()
-        .filter(|s| s.digest_text() != reference)
-        .count();
+    sweeps.insert(0, first);
     out.check(
         "wa_sweep.repeatable",
         repeat == 0,
@@ -283,23 +293,20 @@ pub fn run(cfg: &Cfg) -> Result<PhaseOut, String> {
     let (ok, detail) = oracle_sample(&inputs, &sweeps[0], cfg.seed);
     out.check("wa_sweep.oracle_sample", ok, detail);
 
-    out.steal = sweeps.iter().map(|s| s.steal).collect();
     let per = |f: &dyn Fn(&Sweep) -> f64| sweeps.iter().map(f).collect::<Vec<_>>();
-    let rate: Vec<(f64, f64)> = sweeps
-        .iter()
-        .map(|s| (s.points as f64 / s.wall_s, s.steal))
-        .collect();
-    out.metrics = vec![Metric::quiet("sweep_points_per_s", "points/s", &rate)];
+    // Points per CPU second of the (single-threaded) sweeps.
+    let work: Vec<(f64, f64)> = sweeps.iter().map(|s| (s.points as f64, s.cpu_s)).collect();
+    out.metrics = vec![Metric::rate("sweep_points_per_s", "points/s", &work)];
     out.layers = vec![
-        Metric::median("kernels.generate_ms", "ms", &generate_ms),
-        Metric::median("uarch.compose_ms", "ms", &compose_ms),
+        Metric::repeated("kernels.generate_ms", "ms", &generate_ms),
+        Metric::repeated("uarch.compose_ms", "ms", &compose_ms),
     ];
     if cfg.trace {
         out.layers.extend([
-            Metric::median("memhier.sweeps", "count", &per(&|s| s.sweeps as f64)),
-            Metric::median("memhier.std_sweep_ms", "ms", &per(&|s| s.std_ms)),
-            Metric::median("memhier.nt_sweep_ms", "ms", &per(&|s| s.nt_ms)),
-            Metric::median(
+            Metric::repeated("memhier.sweeps", "count", &per(&|s| s.sweeps as f64)),
+            Metric::repeated("memhier.std_sweep_ms", "ms", &per(&|s| s.std_ms)),
+            Metric::repeated("memhier.nt_sweep_ms", "ms", &per(&|s| s.nt_ms)),
+            Metric::repeated(
                 "memhier.extrapolated_frac",
                 "ratio",
                 &per(&|s| s.extrapolated as f64 / s.requested as f64),
@@ -310,4 +317,36 @@ pub fn run(cfg: &Cfg) -> Result<PhaseOut, String> {
             .map_err(|e| format!("trace: {e}"))?;
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `requested_lines` must describe the stream `storebench` runs. The
+    /// closed-form part of that stream can never exceed it, and for these
+    /// memory-resident working sets steady state engages early, so most
+    /// of it is closed-form: a sizing rule drifting either way breaks one
+    /// of the two bounds.
+    #[test]
+    fn requested_lines_match_storebench() {
+        let mut machines = uarch::registry::machines();
+        machines.extend(crate::gen::memory_whatifs(1, WHATIFS_PER_BASE));
+        for m in &machines {
+            let mut scratch = SweepScratch::default();
+            storebench::sweep_points(
+                m,
+                &[1],
+                StoreKind::Standard,
+                StreamConfig::default(),
+                &mut scratch,
+            );
+            let (done, asked) = (scratch.last_outcome.extrapolated, requested_lines(m));
+            assert!(
+                done <= asked && done * 2 > asked,
+                "{}: {done} closed-form of {asked} requested lines",
+                m.id
+            );
+        }
+    }
 }
