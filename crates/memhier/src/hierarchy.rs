@@ -32,15 +32,9 @@ impl Hierarchy {
     /// Build from a machine description, dividing the shared L3 by
     /// `sharers`.
     pub fn from_machine(machine: &Machine, sharers: u32) -> Hierarchy {
-        let mut levels = Vec::new();
-        for c in &machine.caches {
-            let size = if c.shared {
-                (c.size_kib * 1024) / sharers.max(1) as u64
-            } else {
-                c.size_kib * 1024
-            };
-            levels.push(Cache::new(size, c.assoc as usize, c.line_bytes as u64));
-        }
+        let levels = Self::level_geometry(machine, sharers)
+            .map(|(size, assoc, line)| Cache::new(size, assoc, line))
+            .collect();
         let line = machine
             .caches
             .first()
@@ -51,6 +45,23 @@ impl Hierarchy {
             line_bytes: line,
             mem: Traffic::default(),
         }
+    }
+
+    /// `(size in bytes, associativity, line bytes)` of each level
+    /// [`from_machine`](Self::from_machine) builds — everything a built
+    /// hierarchy depends on.
+    pub fn level_geometry(
+        machine: &Machine,
+        sharers: u32,
+    ) -> impl Iterator<Item = (u64, usize, u64)> + '_ {
+        machine.caches.iter().map(move |c| {
+            let size = if c.shared {
+                (c.size_kib * 1024) / sharers.max(1) as u64
+            } else {
+                c.size_kib * 1024
+            };
+            (size, c.assoc as usize, c.line_bytes as u64)
+        })
     }
 
     /// Build a small synthetic hierarchy (for tests).

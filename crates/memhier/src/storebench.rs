@@ -51,14 +51,15 @@ struct BasePerLine {
 }
 
 struct PoolEntry {
-    arch: Arch,
-    sharers: u32,
+    /// [`Hierarchy::level_geometry`] the hierarchy was built from.
+    geometry: Vec<(u64, usize, u64)>,
     hier: Hierarchy,
 }
 
-/// Reusable state for repeated sweep points: one hierarchy per
-/// (machine, sharers) — reset, not reallocated, between streams — plus
-/// the stream driver's snapshot buffers.
+/// Reusable state for repeated sweep points: one hierarchy per cache
+/// geometry — reset, not reallocated, between streams — plus the stream
+/// driver's snapshot buffers. Machines that share a geometry share a
+/// hierarchy, so one scratch serves any mix of machines.
 #[derive(Default)]
 pub struct SweepScratch {
     pool: Vec<PoolEntry>,
@@ -69,17 +70,18 @@ pub struct SweepScratch {
 }
 
 fn pooled<'a>(pool: &'a mut Vec<PoolEntry>, machine: &Machine, sharers: u32) -> &'a mut Hierarchy {
-    if let Some(pos) = pool
-        .iter()
-        .position(|e| e.arch == machine.arch && e.sharers == sharers)
-    {
+    if let Some(pos) = pool.iter().position(|e| {
+        e.geometry
+            .iter()
+            .copied()
+            .eq(Hierarchy::level_geometry(machine, sharers))
+    }) {
         let e = &mut pool[pos];
         e.hier.reset();
         return &mut e.hier;
     }
     pool.push(PoolEntry {
-        arch: machine.arch,
-        sharers,
+        geometry: Hierarchy::level_geometry(machine, sharers).collect(),
         hier: Hierarchy::from_machine(machine, sharers),
     });
     &mut pool.last_mut().expect("just pushed").hier
@@ -473,6 +475,38 @@ mod tests {
                 .collect();
             for (f, r) in fast.iter().zip(&reference) {
                 assert_eq!(point_bits(f), point_bits(r), "kind {:?}", kind);
+            }
+        }
+    }
+
+    #[test]
+    fn shared_scratch_matches_a_fresh_one_on_resized_caches() {
+        // A scratch that already swept the base machine must not hand a
+        // derived machine with a resized L2 or L3 the base's caches.
+        use uarch::compose::{self, MachineBuilder};
+        let bases: [fn() -> MachineBuilder; 3] =
+            [compose::golden_cove, compose::zen4, compose::neoverse_v2];
+        for base in bases {
+            let m = base().build();
+            for (level, div) in [("L2", 4), ("L3", 4), ("L3", 16)] {
+                let c = m.caches.iter().find(|c| c.name == level).expect("level");
+                let derived = base()
+                    .derive("resized", "resized", "what-if", "what-if")
+                    .resize_cache(level, c.size_kib / div, c.assoc, c.latency_cy)
+                    .build();
+                let counts = [1, derived.cores / 2];
+                for kind in [StoreKind::Standard, StoreKind::NonTemporal] {
+                    let scfg = StreamConfig::default();
+                    let mut shared = SweepScratch::default();
+                    sweep_points(&m, &counts, kind, scfg, &mut shared);
+                    let got = sweep_points(&derived, &counts, kind, scfg, &mut shared);
+                    let mut fresh = SweepScratch::default();
+                    let want = sweep_points(&derived, &counts, kind, scfg, &mut fresh);
+                    let case = format!("{} {level}/{div} {kind:?}", m.name);
+                    let bits = |v: &[StorePoint]| v.iter().map(point_bits).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "{case}");
+                    assert_eq!(shared.last_outcome, fresh.last_outcome, "{case}");
+                }
             }
         }
     }
