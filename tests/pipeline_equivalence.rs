@@ -73,38 +73,65 @@ fn warm_cache_run_is_byte_identical_to_cold() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Byte offsets of the frame headers in a cache directory's log.
+fn frame_starts(log: &[u8]) -> Vec<usize> {
+    const MAGIC: &[u8] = b"@frame ";
+    log.windows(MAGIC.len())
+        .enumerate()
+        .filter(|(_, w)| *w == MAGIC)
+        .map(|(i, _)| i)
+        .collect()
+}
+
 #[test]
 fn damaged_cache_entries_fall_back_to_recompute() {
     let dir = temp_dir("damage");
     let cold = session(1).cache_dir(&dir).run().expect("cold runs");
-    let mut entries: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
-        .expect("cache dir exists")
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "rec"))
-        .collect();
-    entries.sort();
-    assert!(entries.len() >= 3, "cold run persisted the corpus");
-    // Truncate one entry mid-payload, scribble over a second, and stamp a
-    // third with a stale format version — all three must be treated as
-    // misses that recompute (and the stale one must not be trusted).
-    let text = std::fs::read_to_string(&entries[0]).expect("entry reads");
-    std::fs::write(&entries[0], &text[..text.len() / 2]).expect("truncate");
-    std::fs::write(&entries[1], "not a cache entry at all\n").expect("scribble");
-    let text = std::fs::read_to_string(&entries[2]).expect("entry reads");
-    let stale = text.replacen("incore-diskcache v", "incore-diskcache v999", 1);
-    std::fs::write(&entries[2], stale).expect("stale stamp");
-    let warm = session(1)
+    let log = dir.join("cache.log");
+    let mut bytes = std::fs::read(&log).expect("cold run persisted the corpus");
+    let starts = frame_starts(&bytes);
+    assert!(starts.len() >= 4, "cold run persisted the corpus");
+    // Stamp frame 3 with a stale format version in place, scribble over
+    // the payload of frame 2, and cut frame 1 short in the middle of the
+    // log — all three must be treated as misses that recompute (and the
+    // stale one must not be trusted), while every other frame replays.
+    let stamp = starts[3]
+        + bytes[starts[3]..]
+            .windows(19)
+            .position(|w| w == b"incore-diskcache v1")
+            .expect("format line");
+    bytes[stamp..stamp + 19].copy_from_slice(b"incore-diskcache v0");
+    let end = starts[3];
+    bytes[end - 24..end].copy_from_slice(b"not a cache entry at all");
+    bytes.drain(starts[2] - 20..starts[2]);
+    std::fs::write(&log, &bytes).expect("damage the log");
+    let mut warm = session(1)
         .cache_dir(&dir)
+        .profile(true)
         .run()
         .expect("damaged entries are misses, not errors");
+    let obs = warm.obs.take().expect("profiled run");
+    assert_eq!(
+        (obs.disk_hits, obs.disk_misses),
+        (Some(BLOCKS as u64 - 3), Some(3)),
+        "damage costs exactly the three damaged frames"
+    );
     assert_eq!(
         normalized(&warm),
         normalized(&cold),
         "recomputed records must replace the damaged entries bit-for-bit"
     );
     // And the recompute healed the cache: a third run replays cleanly.
-    let healed = session(1).cache_dir(&dir).run().expect("healed runs");
+    let mut healed = session(1)
+        .cache_dir(&dir)
+        .profile(true)
+        .run()
+        .expect("healed runs");
+    let obs = healed.obs.take().expect("profiled run");
+    assert_eq!(
+        (obs.disk_hits, obs.disk_misses),
+        (Some(BLOCKS as u64), Some(0))
+    );
     assert_eq!(normalized(&healed), normalized(&cold));
     let _ = std::fs::remove_dir_all(&dir);
 }
