@@ -15,65 +15,71 @@
 //!    resource, and no pending µ-op is both ready and able to win a port
 //!    any earlier (a failed same-cycle arbitration retry is covered by
 //!    the `now + 1` floor on every candidate).
-//! 2. **Wake-up queue.** Every pending window entry carries a *lower
-//!    bound* on its next possible issue cycle ([`InFlight::earliest`]),
-//!    derived only from monotone quantities — recorded producer issue
-//!    times, unissued producers' own bounds (producers are older, so
-//!    their bound is final when the consumer is examined), and the busy
-//!    horizons of the eligible ports — and mirrored as exactly one
-//!    `(earliest, key)` record in a min-heap. The issue phase examines
-//!    only the entries whose record fell due (oldest first), re-arming
-//!    each failure at its new bound. Because a true lower bound can be
-//!    loose but never late, a wake-up can cost a no-op examination but
-//!    can never delay a real issue: outcomes are untouched, only the
-//!    cycles that re-examine an entry change.
+//! 2. **Exact dependency wake-ups.** At dispatch every window entry counts
+//!    its incoming dependence edges whose producer has not issued yet
+//!    (`InFlight::deps`) and takes `ceil(t + w)` over the issued ones as
+//!    a readiness floor. When an instruction's last µ-op issues it walks
+//!    its outgoing edges (a CSR grouped by producer) and notifies each
+//!    dispatched consumer: the count drops and the floor rises. Only when
+//!    the count reaches zero is the entry armed in a min-heap, at the
+//!    exact cycle its operands mature — or, for a zero-weight edge, put
+//!    straight into the current cycle's sorted wake list behind its
+//!    producer, as the reference's oldest-first scan would reach it. A
+//!    woken entry is therefore always operand-ready (debug builds re-check
+//!    this, sanitizer S003); only a lost port arbitration re-arms it, at a
+//!    lower bound from the eligible ports' busy horizons. A lower bound can
+//!    cost a no-op examination but never delays a real issue.
 //! 3. **Steady-state early exit.** At the end of any cycle in which an
-//!    iteration retired, the engine fingerprints the machine state
-//!    *relative to `now` and the retired-iteration count*, quotiented by
+//!    iteration retired, the engine samples the machine state *relative
+//!    to `now` and the retired-iteration count*. A cheap head — dispatch
+//!    lead over the retired count, dispatch index, ROB and scheduler
+//!    occupancy, window length — is hashed into a ring of recent samples;
+//!    only a head seen before pays for the full fingerprint, quotiented by
 //!    future-equivalence: coordinates that can no longer influence any
 //!    future phase (busy horizons and completions already due, issue
 //!    times mature for even the heaviest edge, the behaviourally dead
 //!    `issue_last`) are clamped to their equivalence class so stale
-//!    history cannot delay a match. If the fingerprint matches an
-//!    earlier sample, the execution is periodic — the future repeats the
-//!    recorded past shifted by (Δ iterations, Δ cycles) — so the cycle of
-//!    the final retirement follows by integer arithmetic, not simulation.
-//!    The closed-form extrapolation through the drain is gated to
-//!    schedules where it is provably exact: no port-blocking µ-ops
-//!    (`occupancy > 1` lets a *younger* instruction delay an *older* one,
-//!    so the post-dispatch drain need not stay periodic). Kernels with
-//!    blocking µ-ops instead *teleport* — the whole machine state is
-//!    advanced a whole number of periods, which is exact while dispatch
-//!    continues — and then simulate the drain for real. The warm-up
-//!    boundary needs no gate: if it has not been reached yet, its retire
-//!    cycle and issued-µop count are extrapolated with the same integer
-//!    arithmetic, from the per-iteration history recorded up to the
-//!    match.
+//!    history cannot delay a match. If the full fingerprint matches an
+//!    earlier one, the execution is periodic — the future repeats the
+//!    recorded past shifted by (Δ iterations, Δ cycles) for as long as
+//!    dispatch continues — and the run finishes by integer arithmetic:
+//!    - **Closed form.** With no port-blocking µ-ops (`occupancy > 1` lets
+//!      a *younger* instruction delay an *older* one, so the post-dispatch
+//!      drain need not stay periodic) the cycle of the final retirement is
+//!      extrapolated directly. The warm-up boundary, if not yet reached, is
+//!      extrapolated too, but only when it retires while dispatch is still
+//!      running: its issued-µ-op count grows by a whole iteration's µ-ops
+//!      per iteration only while the window is fed.
+//!    - **Teleport.** Otherwise the whole machine state is advanced a
+//!      whole number of periods, which is exact while dispatch continues,
+//!      and the drain is simulated for real.
 //! 4. **Scratch arena.** Every buffer lives in [`SimScratch`]: the issue
-//!    matrix is one flat `Vec<u64>`, dependence edges are a CSR built
+//!    matrix is one flat `Vec<u64>`, dependence edges are two CSRs built
 //!    with a counting sort, and per-instance µ-op state is a 64-bit mask
 //!    in [`InFlight`] instead of a heap `Vec` — the untraced path does no
 //!    per-instruction allocation at all. Back-to-back `simulate()` calls
 //!    reuse everything.
 
-use crate::{RawOutcome, SimConfig, SimResult, TraceEvent};
+use crate::{RawOutcome, SimConfig, SimStats, SteadyExit, TraceEvent};
 use incore::depgraph::DepGraph;
+use std::collections::VecDeque;
 use uarch::{InstrClass, InstrDesc, Machine};
 
 /// Sentinel for "not yet issued" in the flat issue matrix and in
 /// [`InFlight::issue_done`] / [`InFlight::completion`].
 const NONE: u64 = u64::MAX;
 
-/// Fingerprint samples kept live, as a ring: periods on this core are
-/// tiny (a handful of retire cycles), so once the schedule is periodic
-/// the matching sample is always recent. Pre-steady samples (taken while
-/// the out-of-order window is still filling) rotate out harmlessly.
+/// Samples kept live, as a ring: periods on this core are tiny (a handful
+/// of retire cycles), so once the schedule is periodic the matching
+/// sample is always recent. Pre-steady samples (taken while the
+/// out-of-order window is still filling) rotate out harmlessly.
 const SAMPLE_WINDOW: usize = 64;
 
-/// Total fingerprints taken before giving up on steady-state detection —
-/// a backstop so genuinely aperiodic schedules (e.g. the monotone
-/// ROB-slot leak of eliminated instructions) stop paying for sampling.
-const SAMPLE_BUDGET: usize = 768;
+/// Full fingerprints taken before giving up on steady-state detection —
+/// a backstop so genuinely aperiodic schedules stop paying for them.
+/// Heads are not counted: they cost a few words each.
+#[doc(hidden)]
+pub const SAMPLE_BUDGET: usize = 768;
 
 /// Per-instruction-instance bookkeeping. µ-op issue state is an inline
 /// bitmask + two cycle numbers, so the untraced path never allocates per
@@ -93,12 +99,25 @@ struct InFlight {
     issue_done: u64,
     /// Cycle at which the instruction may retire; [`NONE`] until known.
     completion: u64,
-    /// Lower bound on the next cycle this entry could issue a µ-op — a
-    /// pure cache (never affects outcomes, only which cycles re-examine
-    /// the entry). Maintained from monotone quantities only: recorded
-    /// producer issue times, producers' own bounds, port busy horizons,
-    /// and `now + 1` after a failed attempt.
-    earliest: u64,
+    /// Incoming dependence edges whose producer has not issued yet. The
+    /// entry has a wake-up record only once this is zero.
+    deps: u32,
+    /// While `deps > 0`: the readiness floor — the dispatch cycle and
+    /// `ceil(t + w)` over the producers issued so far. Once armed: the
+    /// cycle of the entry's wake-up record (its exact readiness cycle, or
+    /// a port-horizon lower bound after a lost arbitration).
+    wake_at: u64,
+}
+
+/// A recorded steady-state sample: the hash of its fingerprint head, the
+/// retired iterations and cycle it was taken at, and the full fingerprint
+/// if one was taken (empty otherwise).
+#[derive(Debug)]
+struct Sample {
+    head: u64,
+    retired: usize,
+    now: u64,
+    full: Vec<i64>,
 }
 
 /// Reusable simulation buffers. One instance per worker thread (or one
@@ -110,10 +129,16 @@ pub struct SimScratch {
     /// CSR row offsets into `in_edges`: incoming edges of instruction
     /// `i` are `in_edges[in_start[i]..in_start[i + 1]]`.
     in_start: Vec<usize>,
-    /// Cursor scratch for the counting sort that fills `in_edges`.
-    in_cursor: Vec<usize>,
     /// `(from, weight, wrap)` incoming dependence edges, grouped by `to`.
     in_edges: Vec<(usize, f64, bool)>,
+    /// CSR row offsets into `out_edges`, like `in_start`.
+    out_start: Vec<usize>,
+    /// `(to, weight, wrap)` outgoing dependence edges, grouped by `from`.
+    /// Edges into eliminated instructions are left out: those complete at
+    /// dispatch and never wait for their operands.
+    out_edges: Vec<(usize, f64, bool)>,
+    /// Cursor scratch for the counting sorts that fill the two CSRs.
+    cursor: Vec<usize>,
     /// Flat `[iter][idx]` issue matrix; [`NONE`] = not yet issued.
     issue_done: Vec<u64>,
     /// Per-port busy horizon (`port_busy[p] > now` ⇔ blocked).
@@ -127,22 +152,79 @@ pub struct SimScratch {
     /// `issued_uops_total` at the retire event of iteration `i` — the
     /// basis for extrapolating `warmup_issued` across an early exit.
     retire_issued: Vec<u64>,
-    /// Wake-up queue: one `(earliest, iter * n + idx)` record per pending
-    /// (dispatched, not fully issued) window entry. The issue phase pops
-    /// the records due this cycle; a failed examination re-arms the entry
-    /// at its new bound. `next_event` reads the next issue candidate off
-    /// the top instead of scanning the window.
+    /// Wake-up queue: one `(wake_at, iter * n + idx)` record per pending
+    /// window entry whose producers have all issued. The issue phase pops
+    /// the records due this cycle; a lost port arbitration re-arms the
+    /// entry. `next_event` reads the next issue candidate off the top
+    /// instead of scanning the window.
     heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
-    /// Keys popped from `heap` this cycle, sorted back to window order.
+    /// Keys due this cycle, in window order.
     wake: Vec<usize>,
     /// Fingerprint under construction.
     fp: Vec<i64>,
-    /// Recorded fingerprints: `(hash, retired_iters, now, state)`.
-    samples: Vec<(u64, usize, u64, Vec<i64>)>,
-    /// Retired snapshot buffers, recycled across runs.
+    /// Recorded samples, oldest first (at most [`SAMPLE_WINDOW`]).
+    samples: VecDeque<Sample>,
+    /// Full-fingerprint buffers, recycled across samples and runs.
     snap_pool: Vec<Vec<i64>>,
 }
 
+/// Fill a CSR (`start`, `rows`) grouping `edges` by `key`, as a counting
+/// sort through `cursor`.
+fn build_csr(
+    n: usize,
+    edges: impl Iterator<Item = (usize, (usize, f64, bool))> + Clone,
+    start: &mut Vec<usize>,
+    rows: &mut Vec<(usize, f64, bool)>,
+    cursor: &mut Vec<usize>,
+) {
+    start.clear();
+    start.resize(n + 1, 0);
+    for (key, _) in edges.clone() {
+        start[key + 1] += 1;
+    }
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    cursor.clear();
+    cursor.extend_from_slice(&start[..n]);
+    rows.clear();
+    rows.resize(start[n], (0, 0.0, false));
+    for (key, row) in edges {
+        rows[cursor[key]] = row;
+        cursor[key] += 1;
+    }
+}
+
+/// First cycle at which an operand issued at `t` over an edge of weight
+/// `w` reads as available: the reference's `t + w > now` test fails from
+/// this cycle on.
+fn matures(t: u64, w: f64) -> u64 {
+    (t as f64 + w).ceil() as u64
+}
+
+/// Cycle from which every operand of instance `(iter, idx)` is mature,
+/// recomputed from the issue matrix alone (`f64::INFINITY` while some
+/// producer has not issued) — an independent re-derivation for the
+/// readiness audit.
+fn operands_ready_at(s: &SimScratch, n: usize, iter: usize, idx: usize) -> f64 {
+    let mut ready_at = 0.0f64;
+    for &(from, weight, wrap) in &s.in_edges[s.in_start[idx]..s.in_start[idx + 1]] {
+        let Some(prod_iter) = iter.checked_sub(usize::from(wrap)) else {
+            continue; // first iteration: no producer
+        };
+        let t = s.issue_done[prod_iter * n + from];
+        ready_at = if t == NONE {
+            f64::INFINITY
+        } else {
+            ready_at.max(t as f64 + weight)
+        };
+    }
+    ready_at
+}
+
+/// Run the event engine. `audit` re-derives operand readiness at every
+/// wake-up to count [`SimStats::not_ready`] in any build; debug builds
+/// always re-derive it, for sanitizer S003.
 pub(crate) fn simulate(
     machine: &Machine,
     cfg: SimConfig,
@@ -150,30 +232,31 @@ pub(crate) fn simulate(
     graph: &DepGraph,
     s: &mut SimScratch,
     mut trace: Option<(&mut Vec<TraceEvent>, usize)>,
-) -> SimResult {
+    audit: bool,
+) -> SimStats {
     let n = descs.len();
     let total_iters = cfg.warmup + cfg.iterations;
     let np = machine.port_model.num_ports();
 
     // --- (Re)initialize the arena: resize + overwrite, no steady-state
     // allocations once the buffers have grown to working size.
-    s.in_start.clear();
-    s.in_start.resize(n + 1, 0);
-    for e in &graph.edges {
-        s.in_start[e.to + 1] += 1;
-    }
-    for i in 0..n {
-        s.in_start[i + 1] += s.in_start[i];
-    }
-    s.in_cursor.clear();
-    s.in_cursor.extend_from_slice(&s.in_start[..n]);
-    s.in_edges.clear();
-    s.in_edges.resize(graph.edges.len(), (0, 0.0, false));
-    for e in &graph.edges {
-        let slot = s.in_cursor[e.to];
-        s.in_edges[slot] = (e.from, e.weight, e.wrap);
-        s.in_cursor[e.to] += 1;
-    }
+    let edges = graph.edges.iter();
+    build_csr(
+        n,
+        edges.clone().map(|e| (e.to, (e.from, e.weight, e.wrap))),
+        &mut s.in_start,
+        &mut s.in_edges,
+        &mut s.cursor,
+    );
+    build_csr(
+        n,
+        edges
+            .filter(|e| descs[e.to].uop_count() > 0)
+            .map(|e| (e.from, (e.to, e.weight, e.wrap))),
+        &mut s.out_start,
+        &mut s.out_edges,
+        &mut s.cursor,
+    );
     s.issue_done.clear();
     s.issue_done.resize(total_iters * n, NONE);
     s.port_busy.clear();
@@ -186,8 +269,8 @@ pub(crate) fn simulate(
     s.retire_issued.clear();
     s.retire_issued.resize(total_iters, 0);
     s.heap.clear();
-    for (_, _, _, snap) in s.samples.drain(..) {
-        s.snap_pool.push(snap);
+    for sample in s.samples.drain(..) {
+        s.snap_pool.push(sample.full);
     }
 
     let sum_uops: u64 = descs.iter().map(|d| d.uop_count() as u64).sum();
@@ -206,6 +289,7 @@ pub(crate) fn simulate(
         .iter()
         .any(|d| d.uops.iter().any(|u| u.occupancy.ceil() as u64 > 1));
     let trace_horizon = trace.as_ref().map_or(0, |(_, m)| *m);
+    let audit = audit || cfg!(debug_assertions);
 
     // Profiling aggregates stay in locals and are emitted once at the end
     // of the run; when the recorder is off the only cost is this one load
@@ -213,7 +297,6 @@ pub(crate) fn simulate(
     // makes the simulator leg visible inside request trace trees.
     let profiling = obs::enabled();
     let _span = profiling.then(|| obs::span("exec:simulate"));
-    let mut prof_heap_pops: u64 = 0;
     let mut prof_port_issued: Vec<u64> = if profiling { vec![0; np] } else { Vec::new() };
     let mut prof_teleport_cycles: Option<u64> = None;
     let mut prof_extrapolated_iters: u64 = 0;
@@ -228,7 +311,10 @@ pub(crate) fn simulate(
     let mut warmup_end_cycle: Option<u64> = None;
     let mut warmup_issued: u64 = 0;
     let mut sampling_dead = false;
-    let mut samples_taken = 0usize;
+    let mut fingerprints = 0usize;
+    let mut wakeups: u64 = 0;
+    let mut not_ready: u64 = 0;
+    let mut exit = SteadyExit::None;
     let mut early_exit_iter: Option<usize> = None;
 
     let max_cycles: u64 = 1_000_000 + (total_iters as u64) * 2_000;
@@ -305,10 +391,27 @@ pub(crate) fn simulate(
                     issue_last: now,
                     issue_done: now,
                     completion: now,
-                    earliest: now,
+                    deps: 0,
+                    wake_at: now,
                 });
                 rob_uops += 1; // occupies a ROB slot until retired
             } else {
+                // Count the producers still to issue (they notify this
+                // entry when they do) and take the readiness floor over
+                // the rest.
+                let mut deps = 0u32;
+                let mut wake_at = now;
+                for &(from, weight, wrap) in &s.in_edges[s.in_start[idx]..s.in_start[idx + 1]] {
+                    let Some(prod_iter) = it.checked_sub(usize::from(wrap)) else {
+                        continue; // first iteration: no producer
+                    };
+                    let t = s.issue_done[prod_iter * n + from];
+                    if t == NONE {
+                        deps += 1;
+                    } else {
+                        wake_at = wake_at.max(matures(t, weight));
+                    }
+                }
                 s.window.push(InFlight {
                     iter: it,
                     idx,
@@ -317,9 +420,12 @@ pub(crate) fn simulate(
                     issue_last: 0,
                     issue_done: NONE,
                     completion: NONE,
-                    earliest: now,
+                    deps,
+                    wake_at,
                 });
-                s.heap.push(std::cmp::Reverse((now, it * n + idx)));
+                if deps == 0 {
+                    s.heap.push(std::cmp::Reverse((wake_at, it * n + idx)));
+                }
                 rob_uops += nu;
                 sched_uops += nu;
             }
@@ -338,15 +444,14 @@ pub(crate) fn simulate(
         // Entries from `retire_head` on are consecutive instructions in
         // dispatch order (a teleport shifts exactly this suffix), so the
         // entry for `(iter, idx)` sits at `iter * n + idx - base_key`.
-        // Pending entries (including every woken key and every unissued
-        // producer) are never retired, so lookups only land in this
-        // suffix. Only the entries whose wake-up record fell due are
-        // examined, oldest first — by the lower-bound property nothing
-        // skipped could have issued this cycle.
+        // Every woken key and every notified consumer is pending, hence
+        // never retired, so lookups only land in this suffix. Keys at or
+        // past `dispatch_key` are not dispatched yet.
         let base_key = s
             .window
             .get(retire_head)
             .map_or(0, |w| w.iter * n + w.idx - retire_head);
+        let dispatch_key = next_dispatch.0 * n + next_dispatch.1;
         s.wake.clear();
         while let Some(&std::cmp::Reverse((t, key))) = s.heap.peek() {
             if t > now {
@@ -356,66 +461,24 @@ pub(crate) fn simulate(
             s.wake.push(key);
         }
         s.wake.sort_unstable();
-        if profiling {
-            prof_heap_pops += s.wake.len() as u64;
-        }
-        for i in 0..s.wake.len() {
-            let wi = s.wake[i] - base_key;
+        // Only the entries whose wake-up fell due are examined, oldest
+        // first; a consumer readied mid-scan joins the list behind its
+        // producer. By construction every one is operand-ready.
+        let mut i = 0;
+        while i < s.wake.len() {
+            let key = s.wake[i];
+            i += 1;
+            let wi = key - base_key;
             let (w_iter, w_idx) = (s.window[wi].iter, s.window[wi].idx);
-            // Readiness: all producers issued and their results available.
-            // While checking, rebuild this entry's lower bound from the
-            // unsatisfied producers: a recorded issue time gives the exact
-            // maturity cycle; an unissued producer contributes its own
-            // (already-final-for-this-cycle, since producers are older and
-            // scanned first) bound, transitively shifted by the edge weight.
-            let mut ready = true;
-            let mut bound = 0u64;
-            for &(from, weight, wrap) in &s.in_edges[s.in_start[w_idx]..s.in_start[w_idx + 1]] {
-                let prod_iter = if wrap {
-                    match w_iter.checked_sub(1) {
-                        Some(pi) => pi,
-                        None => continue, // first iteration: no producer
-                    }
-                } else {
-                    w_iter
-                };
-                let t = s.issue_done[prod_iter * n + from];
-                if t == NONE {
-                    ready = false;
-                    let ph = s.window[prod_iter * n + from - base_key].earliest;
-                    bound = bound.max((ph as f64 + weight).ceil() as u64);
-                } else if (t as f64 + weight) > now as f64 {
-                    ready = false;
-                    bound = bound.max((t as f64 + weight).ceil() as u64);
+            wakeups += 1;
+            if audit {
+                let ready_at = operands_ready_at(s, n, w_iter, w_idx);
+                if ready_at > now as f64 {
+                    not_ready += 1;
                 }
-            }
-            if !ready {
-                let at = bound.max(now + 1);
-                s.window[wi].earliest = at;
-                s.heap.push(std::cmp::Reverse((at, s.wake[i])));
-                continue;
-            }
-            // Sanitizer S003: independently re-derive operand maturity for
-            // an entry the issue phase deemed ready.
-            #[cfg(debug_assertions)]
-            {
-                let mut ready_at = 0.0f64;
-                for &(from, weight, wrap) in &s.in_edges[s.in_start[w_idx]..s.in_start[w_idx + 1]] {
-                    let prod_iter = if wrap {
-                        match w_iter.checked_sub(1) {
-                            Some(pi) => pi,
-                            None => continue,
-                        }
-                    } else {
-                        w_iter
-                    };
-                    let t = s.issue_done[prod_iter * n + from];
-                    ready_at = if t == NONE {
-                        f64::INFINITY
-                    } else {
-                        ready_at.max(t as f64 + weight)
-                    };
-                }
+                // Sanitizer S003: independently re-derive operand maturity
+                // for an entry the wake-up queue handed over.
+                #[cfg(debug_assertions)]
                 crate::sanitizer::check_wakeup(w_iter, w_idx, now, ready_at);
             }
             // Try to issue each pending µ-op on a free eligible port.
@@ -461,25 +524,53 @@ pub(crate) fn simulate(
                     port_bound = port_bound.min(free);
                 }
             }
-            if all_issued {
-                let w = &mut s.window[wi];
-                let last = w.issue_last;
-                w.issue_done = last;
-                let lat = (d.latency as u64).max(1);
-                w.completion = if d.class == InstrClass::Store {
-                    last + 1
-                } else {
-                    last + lat
-                };
-                s.issue_done[w_iter * n + w_idx] = last;
-            } else {
+            if !all_issued {
                 let at = port_bound.max(now + 1);
-                s.window[wi].earliest = at;
-                s.heap.push(std::cmp::Reverse((at, s.wake[i])));
+                s.window[wi].wake_at = at;
+                s.heap.push(std::cmp::Reverse((at, key)));
+                continue;
+            }
+            let w = &mut s.window[wi];
+            let last = w.issue_last;
+            w.issue_done = last;
+            let lat = (d.latency as u64).max(1);
+            w.completion = if d.class == InstrClass::Store {
+                last + 1
+            } else {
+                last + lat
+            };
+            s.issue_done[w_iter * n + w_idx] = last;
+            // Notify the dispatched consumers; arm each whose last
+            // producer this was at its exact readiness cycle.
+            for &(to, weight, wrap) in &s.out_edges[s.out_start[w_idx]..s.out_start[w_idx + 1]] {
+                let ckey = (w_iter + usize::from(wrap)) * n + to;
+                if ckey >= dispatch_key {
+                    continue; // reads this issue time at its own dispatch
+                }
+                let c = &mut s.window[ckey - base_key];
+                c.deps -= 1;
+                c.wake_at = c.wake_at.max(matures(last, weight));
+                if c.deps > 0 {
+                    continue;
+                }
+                if c.wake_at <= now {
+                    // Ready in the producer's own cycle (a zero-weight
+                    // edge): the consumer is younger, so the reference
+                    // scan reaches it later in this cycle.
+                    let at = i + s.wake[i..].partition_point(|&k| k < ckey);
+                    s.wake.insert(at, ckey);
+                } else {
+                    s.heap.push(std::cmp::Reverse((c.wake_at, ckey)));
+                }
             }
         }
 
-        // --- Steady-state detection. ---
+        // --- Steady-state detection. A sample's cheap head is hashed
+        // first; only a head seen before in the ring pays for the full
+        // fingerprint, which is then compared with the earlier full
+        // fingerprints under the same head. A periodic schedule thus
+        // matches one period after its head first recurs, and a transient
+        // whose occupancy is still changing pays for heads only. ---
         if extrapolatable
             && !sampling_dead
             && retired_iters > retired_before
@@ -487,171 +578,161 @@ pub(crate) fn simulate(
             && retired_iters < total_iters
             && next_dispatch.0 < total_iters
         {
-            fingerprint(
+            fingerprint_head(
                 s,
-                n,
-                now,
                 retired_iters,
                 next_dispatch,
                 rob_uops,
                 sched_uops,
                 retire_head,
-                wmax,
             );
-            let h = hash_fp(&s.fp);
-            let prior = s
-                .samples
-                .iter()
-                .find(|(ph, _, _, snap)| *ph == h && *snap == s.fp)
-                .map(|(_, pr, pc, _)| (*pr, *pc));
+            let head = hash_fp(&s.fp);
+            let mut full = false;
+            let mut prior = None;
+            if s.samples.iter().any(|x| x.head == head) {
+                if fingerprints == SAMPLE_BUDGET {
+                    sampling_dead = true;
+                } else {
+                    fingerprints += 1;
+                    full = true;
+                    fingerprint_rest(s, n, now, retired_iters, next_dispatch, retire_head, wmax);
+                    prior = s
+                        .samples
+                        .iter()
+                        .find(|x| x.head == head && x.full == s.fp)
+                        .map(|x| (x.retired, x.now));
+                }
+            }
             if let Some((p_retired, p_cycle)) = prior {
                 // Periodic: every Δk iterations cost exactly Δc cycles,
-                // for as long as dispatch keeps feeding the window.
+                // for as long as dispatch keeps feeding the window. One
+                // match per run: afterwards only the drain remains (or the
+                // run simulates on where no exit applies).
+                sampling_dead = true;
                 let dk = retired_iters - p_retired;
                 let dc = now - p_cycle;
-                // The warm-up boundary may lie in the span being skipped:
-                // its retire cycle and issued-µop count follow from the
+                // Whole periods the state can advance while dispatch
+                // continues: a mid-iteration cursor needs its iteration to
+                // remain in range after the jump.
+                let j = (total_iters - next_dispatch.0 - usize::from(next_dispatch.1 > 0)) / dk;
+                let jdc = j as u64 * dc;
+                let jdk = j * dk;
+                // The warm-up boundary may lie in the span being skipped.
+                // Its retire cycle and issued-µop count follow from the
                 // same periodicity, by the same integer arithmetic the
-                // reference engine would have observed.
-                let warmup_at = |s: &SimScratch, upto: usize| {
-                    (cfg.warmup > 0 && cfg.warmup <= upto).then(|| {
-                        let mw = cfg.warmup - p_retired;
-                        let periods = (mw / dk) as u64;
-                        let widx = p_retired - 1 + mw % dk;
-                        (
-                            s.retire_cycle[widx] + periods * dc,
-                            s.retire_issued[widx] + periods * dk as u64 * sum_uops,
-                        )
-                    })
-                };
-                if !blocking {
+                // reference engine would have observed — provided it
+                // retires within those `j` periods, while dispatch keeps
+                // every period's issue count at Δk iterations' µ-ops.
+                let warmup_pending = cfg.warmup > 0 && warmup_end_cycle.is_none();
+                // The copy is taken from an iteration that retired after
+                // the earlier sample (`base ≥ p_retired`): only cycles
+                // after a sample are known to repeat.
+                let warmup_at = (warmup_pending && cfg.warmup <= retired_iters + jdk).then(|| {
+                    let mw = cfg.warmup - 1 - p_retired;
+                    let base = p_retired + mw % dk;
+                    let periods = (mw / dk) as u64;
+                    (
+                        s.retire_cycle[base] + periods * dc,
+                        s.retire_issued[base] + periods * dk as u64 * sum_uops,
+                    )
+                });
+                let m = total_iters - p_retired;
+                let final_t = s.retire_cycle[p_retired - 1 + m % dk] + (m / dk) as u64 * dc;
+                if !blocking && final_t < max_cycles && (!warmup_pending || warmup_at.is_some()) {
                     // No port-blocking µ-ops ⇒ younger instructions never
                     // delay older ones ⇒ the periodic retire pattern holds
                     // through the drain, and the final retirement is a
                     // closed-form expression.
-                    let m = total_iters - p_retired;
-                    let final_t = s.retire_cycle[p_retired - 1 + m % dk] + (m / dk) as u64 * dc;
-                    if final_t < max_cycles {
-                        if warmup_end_cycle.is_none() {
-                            if let Some((wc, wi)) = warmup_at(s, total_iters) {
-                                warmup_end_cycle = Some(wc);
-                                warmup_issued = wi;
-                            }
-                        }
-                        early_exit_iter = Some(retired_iters);
-                        if profiling {
-                            prof_extrapolated_iters = (total_iters - retired_iters) as u64;
-                        }
-                        retired_iters = total_iters;
-                        // Every dispatched µ-op issues before the final
-                        // retirement, so the grand total is exact.
-                        issued_uops_total = total_iters as u64 * sum_uops;
-                        now = final_t + 1;
-                        break;
+                    if let Some((wc, wi)) = warmup_at {
+                        warmup_end_cycle = Some(wc);
+                        warmup_issued = wi;
                     }
-                    // The run would hit the watchdog mid-pattern; the
-                    // formula above cannot describe a truncated run, so
-                    // keep simulating (and stop paying for fingerprints).
-                } else {
+                    exit = SteadyExit::ClosedForm;
+                    early_exit_iter = Some(retired_iters);
+                    if profiling {
+                        prof_extrapolated_iters = (total_iters - retired_iters) as u64;
+                    }
+                    retired_iters = total_iters;
+                    // Every dispatched µ-op issues before the final
+                    // retirement, so the grand total is exact.
+                    issued_uops_total = total_iters as u64 * sum_uops;
+                    now = final_t + 1;
+                    break;
+                }
+                if j >= 1 && now + jdc < max_cycles {
                     // Teleport: advance the whole machine state by `j`
                     // whole periods — exact while dispatch continues, for
-                    // any kernel — then simulate the drain for real. A
-                    // mid-iteration cursor needs its iteration to remain
-                    // in range after the jump.
-                    let j = (total_iters - next_dispatch.0 - usize::from(next_dispatch.1 > 0)) / dk;
-                    let jdc = j as u64 * dc;
-                    let jdk = j * dk;
-                    if j >= 1 && now + jdc < max_cycles {
-                        // Sanitizer S004: `s.fp` still holds the pre-jump
-                        // fingerprint; the post-jump state must reproduce
-                        // it bit for bit (all coordinates are relative).
-                        #[cfg(debug_assertions)]
-                        let fp_pre = s.fp.clone();
-                        if warmup_end_cycle.is_none() {
-                            if let Some((wc, wi)) = warmup_at(s, retired_iters + jdk) {
-                                warmup_end_cycle = Some(wc);
-                                warmup_issued = wi;
-                            }
-                        }
-                        // Issue-matrix rows still reachable after the jump
-                        // (highest first: source and destination overlap).
-                        let lo = retired_iters - 1;
-                        let hi = next_dispatch.0.min(total_iters - 1 - jdk);
-                        for it in (lo..=hi).rev() {
-                            for i in 0..n {
-                                let t = s.issue_done[it * n + i];
-                                s.issue_done[(it + jdk) * n + i] =
-                                    if t == NONE { NONE } else { t + jdc };
-                            }
-                        }
-                        for w in &mut s.window[retire_head..] {
-                            w.iter += jdk;
-                            w.dispatched += jdc;
-                            w.earliest += jdc;
-                            if w.issued_mask != 0 || w.issue_done != NONE {
-                                w.issue_last += jdc;
-                            }
-                            if w.issue_done != NONE {
-                                w.issue_done += jdc;
-                                w.completion += jdc;
-                            }
-                        }
-                        // Horizons at or before `now` stay in the past.
-                        for p in s.port_busy.iter_mut() {
-                            *p += jdc;
-                        }
-                        // Wake-up records hold pre-jump keys and times;
-                        // rebuild them from the shifted window.
-                        s.heap.clear();
-                        for w in &s.window[retire_head..] {
-                            if w.issue_done == NONE {
-                                s.heap
-                                    .push(std::cmp::Reverse((w.earliest, w.iter * n + w.idx)));
-                            }
-                        }
-                        early_exit_iter = Some(retired_iters);
-                        if profiling {
-                            prof_teleport_cycles = Some(jdc);
-                            prof_extrapolated_iters = jdk as u64;
-                        }
-                        retired_iters += jdk;
-                        next_dispatch.0 += jdk;
-                        issued_uops_total += jdk as u64 * sum_uops;
-                        now += jdc;
-                        #[cfg(debug_assertions)]
-                        if next_dispatch.0 < total_iters {
-                            fingerprint(
-                                s,
-                                n,
-                                now,
-                                retired_iters,
-                                next_dispatch,
-                                rob_uops,
-                                sched_uops,
-                                retire_head,
-                                wmax,
-                            );
-                            crate::sanitizer::check_teleport(&fp_pre, &mut s.fp);
-                        }
+                    // any kernel — then simulate the rest for real.
+                    // Sanitizer S004: `s.fp` still holds the pre-jump
+                    // fingerprint; the post-jump state must reproduce it
+                    // bit for bit (all coordinates are relative).
+                    #[cfg(debug_assertions)]
+                    let fp_pre = s.fp.clone();
+                    if let Some((wc, wi)) = warmup_at {
+                        warmup_end_cycle = Some(wc);
+                        warmup_issued = wi;
                     }
-                    // One jump per run: afterwards the periodic middle is
-                    // gone and only the drain remains.
+                    teleport(
+                        s,
+                        n,
+                        retired_iters - 1,
+                        next_dispatch.0.min(total_iters - 1 - jdk),
+                        retire_head,
+                        jdk,
+                        jdc,
+                    );
+                    exit = SteadyExit::Teleport;
+                    early_exit_iter = Some(retired_iters);
+                    if profiling {
+                        prof_teleport_cycles = Some(jdc);
+                        prof_extrapolated_iters = jdk as u64;
+                    }
+                    retired_iters += jdk;
+                    next_dispatch.0 += jdk;
+                    issued_uops_total += jdk as u64 * sum_uops;
+                    now += jdc;
+                    #[cfg(debug_assertions)]
+                    if next_dispatch.0 < total_iters {
+                        fingerprint_head(
+                            s,
+                            retired_iters,
+                            next_dispatch,
+                            rob_uops,
+                            sched_uops,
+                            retire_head,
+                        );
+                        fingerprint_rest(
+                            s,
+                            n,
+                            now,
+                            retired_iters,
+                            next_dispatch,
+                            retire_head,
+                            wmax,
+                        );
+                        crate::sanitizer::check_teleport(&fp_pre, &mut s.fp);
+                    }
                 }
-                sampling_dead = true;
-            } else if samples_taken < SAMPLE_BUDGET {
-                samples_taken += 1;
+                // Otherwise the run would hit the watchdog mid-pattern, or
+                // dispatch ends within a period: keep simulating.
+            } else if !sampling_dead {
                 if s.samples.len() == SAMPLE_WINDOW {
                     // Rotate the oldest sample out; in a periodic schedule
                     // the matching sample is at most one period old.
-                    let (_, _, _, snap) = s.samples.remove(0);
-                    s.snap_pool.push(snap);
+                    let old = s.samples.pop_front().expect("ring is full");
+                    s.snap_pool.push(old.full);
                 }
                 let mut snap = s.snap_pool.pop().unwrap_or_default();
                 snap.clear();
-                snap.extend_from_slice(&s.fp);
-                s.samples.push((h, retired_iters, now, snap));
-            } else {
-                sampling_dead = true;
+                if full {
+                    snap.extend_from_slice(&s.fp);
+                }
+                s.samples.push_back(Sample {
+                    head,
+                    retired: retired_iters,
+                    now,
+                    full: snap,
+                });
             }
         }
 
@@ -683,8 +764,8 @@ pub(crate) fn simulate(
     if profiling {
         obs::counter("sim.calls", 1);
         obs::counter("sim.cycles", now);
-        obs::counter("sim.heap.pops", prof_heap_pops);
-        obs::counter("sim.samples.taken", samples_taken as u64);
+        obs::counter("sim.heap.pops", wakeups);
+        obs::counter("sim.samples.taken", fingerprints as u64);
         obs::counter(
             if early_exit_iter.is_some() {
                 "sim.steady.hit"
@@ -708,18 +789,69 @@ pub(crate) fn simulate(
         }
     }
 
-    crate::finish(
-        cfg,
-        total_iters,
-        RawOutcome {
-            now,
-            retired_iters,
-            issued_uops_total,
-            warmup_end_cycle,
-            warmup_issued,
-            early_exit_iter,
-        },
-    )
+    SimStats {
+        result: crate::finish(
+            cfg,
+            total_iters,
+            RawOutcome {
+                now,
+                retired_iters,
+                issued_uops_total,
+                warmup_end_cycle,
+                warmup_issued,
+                early_exit_iter,
+            },
+        ),
+        exit,
+        wakeups,
+        not_ready,
+        fingerprints,
+    }
+}
+
+/// Advance the machine state `jdk` iterations and `jdc` cycles: the
+/// issue-matrix rows `lo..=hi` still reachable after the jump, the
+/// unretired window entries (including their dependency counts' floors
+/// and wake-up cycles) and the port horizons. The wake-up queue holds
+/// pre-jump keys and times, so it is rebuilt from the shifted window —
+/// from the entries whose producers have all issued, the only ones with
+/// a record.
+fn teleport(
+    s: &mut SimScratch,
+    n: usize,
+    lo: usize,
+    hi: usize,
+    retire_head: usize,
+    jdk: usize,
+    jdc: u64,
+) {
+    // Highest row first: source and destination overlap.
+    for it in (lo..=hi).rev() {
+        for i in 0..n {
+            let t = s.issue_done[it * n + i];
+            s.issue_done[(it + jdk) * n + i] = if t == NONE { NONE } else { t + jdc };
+        }
+    }
+    s.heap.clear();
+    for w in &mut s.window[retire_head..] {
+        w.iter += jdk;
+        w.dispatched += jdc;
+        w.wake_at += jdc;
+        if w.issued_mask != 0 || w.issue_done != NONE {
+            w.issue_last += jdc;
+        }
+        if w.issue_done != NONE {
+            w.issue_done += jdc;
+            w.completion += jdc;
+        } else if w.deps == 0 {
+            s.heap
+                .push(std::cmp::Reverse((w.wake_at, w.iter * n + w.idx)));
+        }
+    }
+    // Horizons at or before `now` stay in the past.
+    for p in s.port_busy.iter_mut() {
+        *p += jdc;
+    }
 }
 
 /// Earliest future cycle on which retire, dispatch or issue could make
@@ -759,12 +891,12 @@ fn next_event(
             }
         }
     }
-    // Issue: every pending entry has exactly one wake-up record holding a
-    // lower bound on its next possible issue cycle ([`InFlight::earliest`]),
-    // re-armed whenever the entry is examined — so the next issue event is
-    // the top of the heap. A bound can be loose (the woken cycle then
-    // re-arms it, at worst costing a no-op cycle) but is never late, so no
-    // real issue is skipped.
+    // Issue: every pending entry whose producers have all issued has
+    // exactly one wake-up record ([`InFlight::wake_at`]): its exact
+    // readiness cycle, or after a lost arbitration a port-horizon lower
+    // bound that is never late. Every other pending entry waits on a
+    // producer's issue, itself an earlier event. So the next issue event
+    // is the top of the heap, and no real issue is skipped.
     if let Some(&std::cmp::Reverse((t, _))) = s.heap.peek() {
         next = next.min(t.max(floor));
     }
@@ -781,9 +913,32 @@ const FP_MATURE: i64 = i64::MAX - 1;
 /// A fingerprint word for an issue-matrix row with no issues yet.
 const FP_ROW_EMPTY: i64 = i64::MAX - 2;
 
-/// Record the machine state relative to (`now`, `retired`) into `s.fp`,
-/// *quotiented by future-equivalence*: two equal fingerprints ⇒ the
-/// executions from those two points are identical modulo the
+/// Start a fingerprint in `s.fp` with its head: the dispatch cursor
+/// relative to the retired count, the ROB and scheduler occupancy and the
+/// window length — a few words that any repeat of the full state must
+/// repeat too.
+fn fingerprint_head(
+    s: &mut SimScratch,
+    retired: usize,
+    next_dispatch: (usize, usize),
+    rob_uops: u64,
+    sched_uops: u64,
+    retire_head: usize,
+) {
+    s.fp.clear();
+    s.fp.push(next_dispatch.0 as i64 - retired as i64);
+    s.fp.push(next_dispatch.1 as i64);
+    s.fp.push(rob_uops as i64);
+    s.fp.push(sched_uops as i64);
+    s.fp.push((s.window.len() - retire_head) as i64);
+}
+
+/// Complete the fingerprint [`fingerprint_head`] started: the port
+/// horizons, the window's µ-op state and the issue times still reachable.
+///
+/// The full fingerprint records the machine state relative to (`now`,
+/// `retired`), *quotiented by future-equivalence*: two equal fingerprints
+/// ⇒ the executions from those two points are identical modulo the
 /// (Δ iterations, Δ cycles) shift. Coordinates that can no longer
 /// influence any future phase are clamped to their equivalence class —
 /// a busy horizon or completion due by the next simulated cycle behaves
@@ -791,33 +946,26 @@ const FP_ROW_EMPTY: i64 = i64::MAX - 2;
 /// always reads as "operand available" — so dead history cannot delay a
 /// match. `InFlight::issue_last` is absent entirely: it never exceeds
 /// `now`, and the µ-op issue that would read it overwrites it with its
-/// own (strictly later) cycle first.
-#[allow(clippy::too_many_arguments)]
-fn fingerprint(
+/// own (strictly later) cycle first. The dependency counts and wake-up
+/// cycles are absent too: the counts and readiness floors are functions
+/// of the issue matrix, and a wake-up cycle only decides which cycles
+/// examine an entry, never what happens in them.
+fn fingerprint_rest(
     s: &mut SimScratch,
     n: usize,
     now: u64,
     retired: usize,
     next_dispatch: (usize, usize),
-    rob_uops: u64,
-    sched_uops: u64,
     retire_head: usize,
     wmax: f64,
 ) {
     let base = now as i64;
-    let rb = retired as i64;
     // First cycle the simulation will see again; anything available by
     // then is available at every future read.
     let horizon = now + 1;
-    s.fp.clear();
-    s.fp.push(next_dispatch.0 as i64 - rb);
-    s.fp.push(next_dispatch.1 as i64);
-    s.fp.push(rob_uops as i64);
-    s.fp.push(sched_uops as i64);
     for &p in &s.port_busy {
         s.fp.push(p.max(horizon) as i64 - base);
     }
-    s.fp.push((s.window.len() - retire_head) as i64);
     // The window is the consecutive run of instructions ending just
     // before the dispatch cursor, so every entry's (iter, idx) follows
     // from the cursor and the window length already recorded — only µ-op

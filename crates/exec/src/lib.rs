@@ -30,18 +30,22 @@
 //!
 //! * [`event`] (default) — jumps the clock straight to the next cycle on
 //!   which anything can happen (a completion, a wake-up, a port becoming
-//!   free, a dispatch unblocking), fingerprints the machine state every
-//!   time an iteration retires, and once the relative state provably
-//!   repeats it exits early, extrapolating the remaining iterations
-//!   **exactly** (the schedule is periodic, so this is arithmetic, not
-//!   approximation). All per-run buffers live in a reusable [`SimScratch`]
-//!   arena so back-to-back calls allocate ~nothing.
+//!   free, a dispatch unblocking), wakes a waiting instruction only when
+//!   its last producer has issued, at the exact cycle its operands mature,
+//!   samples the machine state every time an iteration retires (a cheap
+//!   head first, the full fingerprint only when the head recurs), and once
+//!   the relative state provably repeats it exits early, extrapolating the
+//!   remaining iterations **exactly** (the schedule is periodic, so this is
+//!   arithmetic, not approximation). All per-run buffers live in a
+//!   reusable [`SimScratch`] arena so back-to-back calls allocate ~nothing.
 //! * [`reference`] — the original tick-by-tick loop, retained verbatim as
 //!   the equivalence oracle. Select it with
 //!   [`SimConfig::reference`]` = true`.
 //!
-//! Both paths produce bit-identical [`SimResult`]s on every corpus kernel;
-//! `tests/sim_equivalence.rs` at the workspace root enforces this.
+//! Both paths produce bit-identical [`SimResult`]s;
+//! `tests/sim_equivalence.rs` at the workspace root enforces this on the
+//! standard grid of every registry model, on in-core what-ifs and on
+//! generated kernels.
 //!
 //! # Example
 //!
@@ -61,6 +65,8 @@ pub mod sanitizer;
 pub mod trace;
 
 pub use event::SimScratch;
+#[doc(hidden)]
+pub use event::SAMPLE_BUDGET;
 
 use incore::depgraph::DepGraph;
 use isa::Kernel;
@@ -200,6 +206,34 @@ impl SimResult {
     }
 }
 
+/// How an event-engine run ended.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SteadyExit {
+    /// Every iteration was simulated (or the reference engine ran).
+    None,
+    /// The final retire cycle was extrapolated in closed form.
+    ClosedForm,
+    /// The state jumped forward whole periods; the drain was simulated.
+    Teleport,
+}
+
+/// Counters of one [`simulate`] run, for tests that pin the event
+/// engine's mechanisms. All zero when the reference engine ran.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SimStats {
+    pub result: SimResult,
+    pub exit: SteadyExit,
+    /// Window entries the wake-up queue handed to the issue phase.
+    pub wakeups: u64,
+    /// Wake-ups that found some operand not yet mature. Exact dependency
+    /// wake-ups keep this at zero.
+    pub not_ready: u64,
+    /// Full steady-state fingerprints taken (at most [`SAMPLE_BUDGET`]).
+    pub fingerprints: usize,
+}
+
 /// Raw counters at loop exit, shared by both engines; [`finish`] turns
 /// them into a [`SimResult`] with identical arithmetic.
 pub(crate) struct RawOutcome {
@@ -283,18 +317,34 @@ fn simulate_dispatch(
     cfg: SimConfig,
     scratch: Option<&mut SimScratch>,
     trace: Option<(&mut Vec<TraceEvent>, usize)>,
-) -> SimResult {
+    audit: bool,
+) -> SimStats {
+    let untouched = |result| SimStats {
+        result,
+        exit: SteadyExit::None,
+        wakeups: 0,
+        not_ready: 0,
+        fingerprints: 0,
+    };
     if kernel.instructions.is_empty() {
-        return SimResult::empty();
+        return untouched(SimResult::empty());
     }
     let (descs, graph) = prepare(machine, kernel, cfg);
     if needs_reference(cfg, &descs) {
-        reference::simulate(machine, cfg, &descs, &graph, trace)
+        untouched(reference::simulate(machine, cfg, &descs, &graph, trace))
     } else {
         match scratch {
-            Some(s) => event::simulate(machine, cfg, &descs, &graph, s, trace),
+            Some(s) => event::simulate(machine, cfg, &descs, &graph, s, trace, audit),
             None => SCRATCH.with(|c| {
-                event::simulate(machine, cfg, &descs, &graph, &mut c.borrow_mut(), trace)
+                event::simulate(
+                    machine,
+                    cfg,
+                    &descs,
+                    &graph,
+                    &mut c.borrow_mut(),
+                    trace,
+                    audit,
+                )
             }),
         }
     }
@@ -304,7 +354,15 @@ fn simulate_dispatch(
 /// thread-local [`SimScratch`], so repeated calls on one thread reuse all
 /// simulation buffers.
 pub fn simulate(machine: &Machine, kernel: &Kernel, cfg: SimConfig) -> SimResult {
-    simulate_dispatch(machine, kernel, cfg, None, None)
+    simulate_dispatch(machine, kernel, cfg, None, None, false).result
+}
+
+/// [`simulate`] plus its engine counters. Every wake-up re-derives
+/// operand readiness to count [`SimStats::not_ready`], so this is slower
+/// than [`simulate`] in release builds.
+#[doc(hidden)]
+pub fn simulate_stats(machine: &Machine, kernel: &Kernel, cfg: SimConfig) -> SimStats {
+    simulate_dispatch(machine, kernel, cfg, None, None, true)
 }
 
 /// [`simulate`] with a caller-owned scratch arena — for callers that
@@ -316,7 +374,7 @@ pub fn simulate_with_scratch(
     cfg: SimConfig,
     scratch: &mut SimScratch,
 ) -> SimResult {
-    simulate_dispatch(machine, kernel, cfg, Some(scratch), None)
+    simulate_dispatch(machine, kernel, cfg, Some(scratch), None, false).result
 }
 
 /// Simulate and also return the pipeline trace of the first
@@ -329,7 +387,15 @@ pub fn simulate_traced(
     trace_iters: usize,
 ) -> (SimResult, Vec<TraceEvent>) {
     let mut events = Vec::new();
-    let r = simulate_dispatch(machine, kernel, cfg, None, Some((&mut events, trace_iters)));
+    let r = simulate_dispatch(
+        machine,
+        kernel,
+        cfg,
+        None,
+        Some((&mut events, trace_iters)),
+        false,
+    )
+    .result;
     events.sort_by_key(|e| (e.iter, e.idx));
     (r, events)
 }

@@ -164,7 +164,13 @@ pub struct Entry {
 impl Entry {
     /// Whether this entry matches the given instruction.
     pub fn matches(&self, inst: &Instruction) -> bool {
-        if !self.mnemonics.contains(&inst.norm_mnemonic()) {
+        self.matches_norm(inst, inst.norm_mnemonic())
+    }
+
+    /// [`Entry::matches`] with the instruction's normalized mnemonic
+    /// already computed, so a table scan normalizes it once.
+    pub fn matches_norm(&self, inst: &Instruction, norm: &str) -> bool {
+        if !self.mnemonics.contains(&norm) {
             return false;
         }
         if !self.width.matches(inst) {
