@@ -9,8 +9,8 @@
 //!    reintroduces per-token `String` churn on the steady path fails
 //!    here before it shows up as a timing drift.
 //! 2. The tracked pipeline run (`bench::pipelinebench`): baseline vs
-//!    batch vs streaming-cold vs persistent-cache-warm kernels/sec at 1
-//!    and 8 threads, written to `BENCH_pipeline.json` at the repository
+//!    cold vs persistent-cache-warm kernels/sec at 1 and 8 threads,
+//!    written to `BENCH_pipeline.json` at the repository
 //!    root with its byte-identity and speedup gates asserted.
 //!
 //! `BENCH_PIPELINE_LIMIT=<n>` caps the volume corpus at n blocks — CI
@@ -150,11 +150,10 @@ fn main() {
     );
     for r in &report.threads {
         eprintln!(
-            "[pipeline_core]   {} thread(s): baseline {:>8.1}/s, batch {:>8.1}/s, \
+            "[pipeline_core]   {} thread(s): baseline {:>8.1}/s, \
              cold {:>8.1}/s ({:.2}x baseline), warm {:>8.1}/s ({:.2}x cold)",
             r.threads,
             r.baseline_kernels_per_sec,
-            r.batch_kernels_per_sec,
             r.cold_kernels_per_sec,
             r.cold_speedup_vs_baseline,
             r.warm_kernels_per_sec,
@@ -166,7 +165,7 @@ fn main() {
     eprintln!("[pipeline_core] wrote {path}");
     assert!(
         report.byte_identical,
-        "pipeline paths diverged — streaming/caching may not change report bytes"
+        "pipeline runs diverged — the MCA scheduler and caching may not change report bytes"
     );
     // The acceptance gates only bind on the full corpus: tiny smoke
     // corpora (CI) are noise-dominated, so gate on ≥ one grid pass.

@@ -1,22 +1,19 @@
 //! Tracked throughput benchmark for the analysis pipeline: drive a
 //! generated volume corpus (see [`kernels::volume::volume_blocks`])
 //! through the `engine` session at 1 and 8 worker threads, and record
-//! analyzed-kernels-per-second along four paths:
+//! analyzed-kernels-per-second for three runs:
 //!
-//! 1. **baseline** — the pre-optimization `validate` path: a batch
-//!    session whose MCA predictor is [`mca::McaReferenceBaseline`], the
-//!    reference implementation the fast two-heap scheduler is pinned
-//!    bit-identical to. This is the honest "before" number: same
-//!    reports, pre-PR cost.
-//! 2. **batch** — the current fast batch path ([`engine::Session::run`]).
-//! 3. **cold** — the streaming path ([`engine::Session::run_streamed`])
-//!    against a fresh persistent cache directory (computes everything,
-//!    writes every record).
-//! 4. **warm** — the same streaming run again: every record replays
-//!    from the content-addressed disk cache.
+//! 1. **baseline** — the pre-optimization cost model: a session whose
+//!    MCA predictor is [`mca::McaReferenceBaseline`], the reference
+//!    implementation the fast scheduler is pinned bit-identical to. This
+//!    is the honest "before" number: same reports, pre-PR cost.
+//! 2. **cold** — [`engine::Session::run`] against a fresh persistent
+//!    cache directory (computes everything, writes every record).
+//! 3. **warm** — the same run again through [`engine::Session::stream`]:
+//!    every record replays from the content-addressed disk cache.
 //!
-//! Every pair of paths must produce byte-identical `BatchReport` JSON
-//! once the observational `timings` block is zeroed — the
+//! All three must produce byte-identical `BatchReport` JSON once the
+//! observational `timings` block is zeroed — the
 //! `byte_identical` flag in the report is the conjunction over all
 //! measured thread counts. The `pipeline_core` bench target runs this
 //! and writes `BENCH_pipeline.json` at the repository root, so pipeline
@@ -31,16 +28,13 @@ use serde::Serialize;
 #[derive(Debug, Clone, Serialize)]
 pub struct ThreadRow {
     pub threads: usize,
-    /// Pre-PR validate path: batch session, reference MCA scheduler.
+    /// Pre-PR validate cost: reference MCA scheduler, no cache dir.
     pub baseline_ms: f64,
     pub baseline_kernels_per_sec: f64,
-    /// Current fast batch path.
-    pub batch_ms: f64,
-    pub batch_kernels_per_sec: f64,
-    /// Streaming path, fresh cache dir (compute + persist).
+    /// Fresh cache dir (compute + persist).
     pub cold_ms: f64,
     pub cold_kernels_per_sec: f64,
-    /// Streaming path, warm cache dir (disk replay).
+    /// Warm cache dir (disk replay).
     pub warm_ms: f64,
     pub warm_kernels_per_sec: f64,
     /// cold vs baseline (the acceptance gate asks ≥ 2×).
@@ -50,7 +44,7 @@ pub struct ThreadRow {
     /// Disk cache counters of the warm run (hits must cover the corpus).
     pub warm_disk_hits: u64,
     pub warm_disk_misses: u64,
-    /// stream-vs-batch and warm-vs-cold reports byte-identical (timings
+    /// baseline-vs-cold and warm-vs-cold reports byte-identical (timings
     /// zeroed) at this thread count.
     pub byte_identical: bool,
 }
@@ -99,14 +93,11 @@ fn baseline_session(threads: usize, blocks: usize) -> Session {
     ])
 }
 
-/// Report JSON with the observational blocks zeroed — the byte-identity
-/// currency of the equivalence checks. `timings` is wall clock;
-/// `cache` legitimately differs between paths (the streaming path does
-/// not memoize kernel parses). Every analytical field stays.
+/// Report JSON with the wall-clock `timings` block zeroed — the
+/// byte-identity currency of the equivalence checks.
 fn normalized(report: &BatchReport) -> String {
     let mut r = report.clone();
     r.timings = Default::default();
-    r.cache = Default::default();
     r.to_json()
 }
 
@@ -129,12 +120,6 @@ fn run_threads(threads: usize, blocks: usize) -> ThreadRow {
             .run()
             .expect("baseline runs")
     });
-    let (batch, batch_ms) = timed(|| session(threads, blocks).run().expect("batch runs"));
-    let (stream, _) = timed(|| {
-        session(threads, blocks)
-            .run_streamed(0)
-            .expect("stream runs")
-    });
     let dir = std::env::temp_dir().join(format!(
         "incore-pipeline-bench-{}-t{threads}",
         std::process::id()
@@ -143,7 +128,7 @@ fn run_threads(threads: usize, blocks: usize) -> ThreadRow {
     let (cold, cold_ms) = timed(|| {
         session(threads, blocks)
             .cache_dir(&dir)
-            .run_streamed(0)
+            .run()
             .expect("cold runs")
     });
     // The warm run goes through `stream` directly so the outcome's disk
@@ -165,18 +150,14 @@ fn run_threads(threads: usize, blocks: usize) -> ThreadRow {
     );
     let warm_disk = outcome.disk.expect("warm run had a cache dir");
     let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(batch.records.len(), blocks, "volume corpus size");
-    let byte_identical = normalized(&baseline) == normalized(&batch)
-        && normalized(&stream) == normalized(&batch)
-        && normalized(&cold) == normalized(&batch)
-        && normalized(&warm) == normalized(&cold);
+    assert_eq!(cold.records.len(), blocks, "volume corpus size");
+    let byte_identical =
+        normalized(&baseline) == normalized(&cold) && normalized(&warm) == normalized(&cold);
     let kps = |ms: f64| blocks as f64 / (ms / 1e3).max(1e-9);
     ThreadRow {
         threads,
         baseline_ms,
         baseline_kernels_per_sec: kps(baseline_ms),
-        batch_ms,
-        batch_kernels_per_sec: kps(batch_ms),
         cold_ms,
         cold_kernels_per_sec: kps(cold_ms),
         warm_ms,
@@ -204,7 +185,7 @@ pub fn run(limit: Option<usize>) -> PipelineBenchReport {
         threads.push(row);
     }
     PipelineBenchReport {
-        schema_version: 1,
+        schema_version: 2,
         arch: ARCH.chip().to_string(),
         blocks,
         byte_identical,
@@ -242,7 +223,7 @@ mod tests {
                 .get("schema_version")
                 .unwrap()
                 .as_f64(),
-            Some(1.0)
+            Some(2.0)
         );
     }
 }

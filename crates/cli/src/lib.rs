@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! incore-cli analyze <file.s> --arch <gcs|spr|genoa> [--balanced] [--mca] [--sim] [--timeline] [--trace] [--json]
-//! incore-cli validate [--arch <machine>]... [--threads N] [--limit N] [--json] [--threshold X] [--max-divergent N] [--stream] [--cache-dir D] [--volume N]
+//! incore-cli validate [--arch <machine>]... [--threads N] [--limit N] [--json] [--threshold X] [--max-divergent N] [--cache-dir D] [--volume N]
 //! incore-cli explain <kernel> --arch <gcs|spr|genoa>
 //! incore-cli lint [file.s] [--arch <gcs|spr|genoa>] [--machine-file <m.json>] [--json] [--strict] [--sim]
 //! incore-cli machines
@@ -119,9 +119,6 @@ pub struct ValidateOpts {
     /// Record and emit an `obs` profile of the run (`--profile[=mode]`);
     /// also attaches the per-predictor `obs` summary to the JSON report.
     pub profile: Option<ProfileMode>,
-    /// Evaluate through the bounded-memory streaming pipeline
-    /// (`Session::run_streamed`) instead of the batch collector.
-    pub stream: bool,
     /// Persist evaluated records under this directory and replay them on
     /// identical reruns (`--cache-dir`).
     pub cache_dir: Option<String>,
@@ -508,7 +505,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, Error> {
                     }
                     "--warmup" => opts.sim.warmup = Some(next_value(&mut it, "--warmup")?),
                     "--no-early-exit" => opts.sim.no_early_exit = true,
-                    "--stream" => opts.stream = true,
                     "--cache-dir" => opts.cache_dir = Some(next_value(&mut it, "--cache-dir")?),
                     "--volume" => opts.volume = Some(next_value(&mut it, "--volume")?),
                     f if is_profile_flag(f) => opts.profile = Some(parse_profile_mode(f)?),
@@ -692,7 +688,6 @@ USAGE:
       --max-divergent <n>  exit 1 if more than n records fire D002
       --iterations / --warmup / --no-early-exit   as for analyze (reference simulator)
       --profile[=mode]     obs profile (also adds the per-predictor obs block to --json)
-      --stream             bounded-memory streaming pipeline (same report, flat RSS)
       --cache-dir <dir>    persist evaluated records; identical reruns replay from disk
       --volume <n>         generated volume corpus of n blocks per machine (the first
                            grid-sized prefix reproduces the standard corpus)
@@ -1022,10 +1017,11 @@ pub fn run_analyze_json(
     let wall_start = std::time::Instant::now();
     let kernel =
         isa::parse_kernel(asm, machine.isa).map_err(|e| Error::from(e).with_context(label))?;
+    let parse_ms = wall_start.elapsed().as_nanos() as f64 / 1e6;
     let (mut report, block_timings) = analyze_report(machine, label, &kernel, flags);
     report.timings = engine::RunTimings {
         wall_ms: wall_start.elapsed().as_nanos() as f64 / 1e6,
-        parse_ms: 0.0,
+        parse_ms,
         reference_ms: block_timings.reference_ns as f64 / 1e6,
         predictors_ms: block_timings.predictors_ns as f64 / 1e6,
         cache_ms: 0.0,
@@ -1060,11 +1056,7 @@ pub fn run_validate(opts: &ValidateOpts) -> Result<ValidateOutcome, Error> {
     if let Some(dir) = &opts.cache_dir {
         session = session.cache_dir(dir);
     }
-    let report = if opts.stream {
-        session.run_streamed(0)?
-    } else {
-        session.run()?
-    };
+    let report = session.run()?;
     let mut gate_failures = Vec::new();
     if let Some(limit) = opts.threshold {
         let mean = report.summary("incore").map(|s| s.mean_abs).unwrap_or(0.0);
@@ -1833,7 +1825,6 @@ mod tests {
         assert_eq!(
             parse_args(&sv(&[
                 "validate",
-                "--stream",
                 "--cache-dir",
                 "/tmp/incore-cache",
                 "--volume",
@@ -1841,13 +1832,15 @@ mod tests {
             ]))
             .unwrap(),
             Command::Validate(ValidateOpts {
-                stream: true,
                 cache_dir: Some("/tmp/incore-cache".into()),
                 volume: Some(2000),
                 ..ValidateOpts::default()
             })
         );
         assert!(parse_args(&sv(&["validate", "--volume", "many"])).is_err());
+        let err = parse_args(&sv(&["validate", "--stream"])).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Usage);
+        assert!(err.to_string().contains("unknown flag `--stream`"), "{err}");
         assert!(parse_args(&sv(&["validate", "--cache-dir"])).is_err());
         assert_eq!(
             parse_args(&sv(&[
@@ -1952,6 +1945,28 @@ mod tests {
             run_analyze_json(&m, "k.s", "movq %bogus, %rax", AnalyzeFlags::default()).unwrap_err();
         assert_eq!(e.kind(), ErrorKind::Parse);
         assert!(e.to_string().contains("k.s"));
+    }
+
+    #[test]
+    fn analyze_json_books_the_parse_under_parse_ms() {
+        let m = machine_for(uarch::Arch::GoldenCove);
+        let asm = ".L1:\n vaddpd %zmm0, %zmm1, %zmm2\n subq $1, %rax\n jne .L1\n";
+        let flags = AnalyzeFlags {
+            mca: true,
+            ..AnalyzeFlags::default()
+        };
+        let out = run_analyze_json(&m, "k.s", asm, flags).unwrap();
+        let v: serde_json::Value = serde_json::from_str(&out).unwrap();
+        let t = v.as_object().unwrap().get("timings").unwrap();
+        let ms = |k: &str| t.as_object().unwrap().get(k).unwrap().as_f64().unwrap();
+        assert!(
+            ms("parse_ms") > 0.0,
+            "the parse ran inside the wall clock: {out}"
+        );
+        assert!(
+            ms("parse_ms") + ms("predictors_ms") <= ms("wall_ms"),
+            "phases are disjoint slices of the wall clock: {out}"
+        );
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Content-keyed memoization for the batch pipeline and the server.
+//! Content-keyed memoization for the server and machine-file imports.
 //!
-//! The corpus run decodes each distinct kernel text **once** and shares
-//! the parsed [`isa::Kernel`] across every predictor (and across machines
-//! that generate byte-identical assembly, e.g. two x86 models at the same
-//! vector width). Imported JSON machine files are deduplicated the same
-//! way. Both caches are safe to hit from the worker pool.
+//! `serve` decodes each distinct kernel text **once** and shares the
+//! parsed [`isa::Kernel`] across requests (and across machines that
+//! generate byte-identical assembly, e.g. two x86 models at the same
+//! vector width). Imported JSON machine files — in `serve` and in a
+//! corpus [`crate::Session`] — are deduplicated the same way. Both
+//! caches are safe to hit from worker threads.
 //!
 //! Each cache entry is a `OnceLock` slot created under the map lock but
 //! *filled outside it*, so two workers racing on different keys parse in
@@ -14,12 +15,13 @@
 //! slot's creator), a hit for every other lookup — which is what lets the
 //! stats ride along in the byte-identical JSON report.
 //!
-//! A batch `validate` run uses the default **unbounded** cache (the corpus
-//! is finite and the run is one-shot), so its [`CacheStats`] and the
-//! BatchReport JSON they ride in are unchanged. The long-running server
-//! uses [`CorpusCache::bounded`], which adds LRU eviction on top of the
-//! same slots; evictions are counted separately (and exported through
-//! `obs`) rather than widening the serialized `CacheStats`.
+//! A corpus `validate` run uses the default **unbounded** cache (the
+//! machine set is finite and the run is one-shot), so its [`CacheStats`]
+//! and the BatchReport JSON they ride in are deterministic. The
+//! long-running server uses [`CorpusCache::bounded`], which adds LRU
+//! eviction on top of the same slots; evictions are counted separately
+//! (and exported through `obs`) rather than widening the serialized
+//! `CacheStats`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
@@ -33,7 +35,7 @@ type Slot<T> = Arc<OnceLock<Result<Arc<T>, Error>>>;
 
 /// Hit/miss counters, serialized into the batch report. Deliberately
 /// *not* widened with eviction counts: this struct is part of the
-/// versioned BatchReport schema, and batch runs never evict. Use
+/// versioned BatchReport schema, and corpus runs never evict. Use
 /// [`CorpusCache::evictions`] (or the `engine.cache.*_evictions` obs
 /// counters) for the server-side eviction trajectory.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
@@ -159,7 +161,7 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
 }
 
 /// Thread-safe content-keyed caches for parsed kernels and imported
-/// machine models. [`CorpusCache::new`] is unbounded (batch runs);
+/// machine models. [`CorpusCache::new`] is unbounded (corpus runs);
 /// [`CorpusCache::bounded`] adds LRU eviction for long-running servers.
 pub struct CorpusCache {
     kernels: Mutex<Lru<(isa::Isa, String), Slot<isa::Kernel>>>,
@@ -209,20 +211,7 @@ impl CorpusCache {
 
     /// Parse `asm` for `isa`, reusing a previous parse of identical text.
     pub fn kernel(&self, asm: &str, isa: isa::Isa) -> Result<Arc<isa::Kernel>, Error> {
-        self.kernel_with_hit(asm, isa).map(|(k, _)| k)
-    }
-
-    /// Like [`CorpusCache::kernel`], also reporting whether the lookup hit
-    /// a previous parse. The session uses the flag to book a hit's
-    /// wall-clock under `cache_ms` instead of `parse_ms` — shared lookups
-    /// must not inflate the parse figure.
-    pub fn kernel_with_hit(
-        &self,
-        asm: &str,
-        isa: isa::Isa,
-    ) -> Result<(Arc<isa::Kernel>, bool), Error> {
         let key = (isa, asm.to_string());
-        let mut hit = true;
         let slot = {
             let mut map = self.kernels.lock().expect("kernel cache poisoned");
             match map.get(&key) {
@@ -231,7 +220,6 @@ impl CorpusCache {
                     slot
                 }
                 None => {
-                    hit = false;
                     self.kernel_misses.fetch_add(1, Ordering::Relaxed);
                     let slot: Slot<isa::Kernel> = Arc::new(OnceLock::new());
                     let evicted = map.insert(key, slot.clone());
@@ -247,14 +235,13 @@ impl CorpusCache {
         };
         // A "hit" on a slot another worker is still filling blocks in
         // get_or_init below; that wait is still a hit for accounting (the
-        // parse work happens — and is booked — exactly once).
+        // parse work happens exactly once).
         slot.get_or_init(|| {
             isa::parse_kernel(asm, isa)
                 .map(Arc::new)
                 .map_err(Error::from)
         })
         .clone()
-        .map(|k| (k, hit))
     }
 
     /// Import a JSON machine file, reusing a previous import of identical

@@ -3,7 +3,7 @@
 //!
 //! A [`DiskCache`] is one append-only log file, `cache.log`, in a cache
 //! directory, indexed in memory by the FNV-64 address of the caller's key
-//! material. The cache stores opaque UTF-8 payloads: the batch pipeline
+//! material. The cache stores opaque UTF-8 payloads: the corpus pipeline
 //! stores an evaluated record in the bit-exact codec below
 //! ([`encode_record`] / [`decode_record`], floats as `to_bits` hex so
 //! replay is byte-identical to recompute), and `incore-cli serve` stores

@@ -1,21 +1,21 @@
-//! `engine` — the batch analysis pipeline behind the unified
+//! `engine` — the corpus analysis pipeline behind the unified
 //! [`Predictor`](uarch::Predictor) API.
 //!
 //! The crate turns "run a predictor on a kernel" into "validate a corpus":
-//! a [`Session`] fans the full kernels × machines grid out over a worker
-//! pool (vendored `rayon`), decodes each distinct kernel text exactly once
-//! through a content-keyed [`CorpusCache`], runs every configured
-//! predictor against the shared parse, scores each prediction against the
-//! reference measurement, applies the `diag` divergence rules, and
-//! collects everything into a JSON-serializable [`BatchReport`].
+//! a [`Session`] streams the full kernels × machines grid through a
+//! window-bounded pool of worker threads, decodes each block where it is
+//! evaluated, runs every configured predictor against that one parse,
+//! scores each prediction against the reference measurement, applies the
+//! `diag` divergence rules, and delivers the records in grid order — to a
+//! sink, or collected into a JSON-serializable [`BatchReport`].
 //!
 //! Layering: `engine` sits above the predictors (`incore`, `mca`, `exec`)
 //! and `diag`, and below the user-facing tools — `bench::fig3` and
 //! `incore-cli validate` / `analyze --json` are thin wrappers over this
 //! crate.
 //!
-//! Determinism is a design invariant, not an accident: the parallel map
-//! preserves submission order, the cache counters are
+//! Determinism is a design invariant, not an accident: the stream
+//! delivers in grid order, the cache counters are
 //! scheduling-independent, and the report carries no run-environment
 //! fields — so the serialized report is byte-identical for any `threads`
 //! setting. The single carve-out is the trailing

@@ -34,7 +34,8 @@ pub const SCHEMA_MINOR: u32 = 2;
 pub struct ObsPredictorTimings {
     /// Stable predictor name (`"incore"`, `"mca"`, ...).
     pub predictor: String,
-    /// Predict calls taken (one per evaluated block).
+    /// Predict calls taken: one per block the predictors ran on (a block
+    /// replayed from the persistent cache calls none).
     pub calls: u64,
     /// Total wall-clock across those calls, in nanoseconds.
     pub total_ns: u64,
@@ -55,7 +56,8 @@ pub struct ObsSummary {
     /// Per-predictor call/latency summaries, in session predictor order,
     /// with the reference (when one ran) appended last.
     pub predictors: Vec<ObsPredictorTimings>,
-    /// Corpus-cache hit rate over kernel lookups (0..1).
+    /// Corpus-cache hit rate over kernel lookups (0..1); 0 for a corpus
+    /// run, which parses each block where it is evaluated.
     pub cache_hit_rate: f64,
     /// Persistent result-cache hit rate over record lookups (0..1).
     /// Absent (with the other `disk_*` fields) when no `--cache-dir` was
@@ -80,16 +82,16 @@ pub struct ObsSummary {
 /// a parallel run); `wall_ms` is end-to-end for the whole batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct RunTimings {
-    /// End-to-end wall-clock of `Session::run`, in milliseconds.
+    /// End-to-end wall-clock of the run, in milliseconds.
     pub wall_ms: f64,
-    /// Kernel generation + decode time, summed over blocks (ms).
+    /// Kernel decode time, summed over blocks (ms).
     pub parse_ms: f64,
     /// Reference (simulator) time, summed over blocks (ms).
     pub reference_ms: f64,
     /// Analytical predictor time, summed over blocks (ms).
     pub predictors_ms: f64,
-    /// Time spent in cache lookups and replay — in-memory kernel-cache
-    /// hits plus persistent result-cache probes and record decodes (ms).
+    /// Time spent in the persistent result cache — probes, record
+    /// decodes, and writes (ms).
     /// A cache-hit block books its time here, *not* under `parse_ms` /
     /// `reference_ms` / `predictors_ms`: replay must never double-count
     /// as compute.
@@ -325,13 +327,6 @@ impl BatchReport {
         out.push_str(&row("mean |RPE|", &|s| {
             format!("{:.1}%", s.mean_abs * 100.0)
         }));
-        let _ = writeln!(
-            out,
-            "cache: {} kernel parses for {} lookups ({} shared)",
-            self.cache.kernel_misses,
-            self.cache.kernel_misses + self.cache.kernel_hits,
-            self.cache.kernel_hits,
-        );
         if self.timings.wall_ms > 0.0 {
             let t = &self.timings;
             let _ = writeln!(

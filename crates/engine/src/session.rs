@@ -1,12 +1,13 @@
-//! The batch analysis pipeline: a corpus of kernels × machines ×
-//! predictors, evaluated in parallel with content-keyed memoization.
+//! The corpus analysis pipeline: a grid of kernels × machines ×
+//! predictors, evaluated in parallel through one bounded-memory stream.
 //!
 //! [`Session`] is a builder: select machines, predictors, corpus size and
-//! thread count, then [`run`](Session::run) the whole grid. Each kernel
-//! variant is generated and decoded **once** (via [`CorpusCache`]) and the
-//! parsed kernel is shared across every predictor; the work grid is fanned
-//! out over a `rayon` pool whose output ordering is deterministic, so the
-//! resulting [`BatchReport`] is byte-identical regardless of thread count.
+//! thread count, then [`stream`](Session::stream) the grid into a sink or
+//! [`run`](Session::run) it into a [`BatchReport`] (the same stream,
+//! collected). Each block's text is generated and parsed where it is
+//! evaluated, the parsed kernel is shared across every predictor, and
+//! records are delivered in grid order, so the resulting report is
+//! byte-identical regardless of thread count.
 //!
 //! ```
 //! let report = engine::Session::new()
@@ -21,10 +22,8 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Condvar, Mutex};
 use std::time::Instant;
-
-use rayon::prelude::*;
 
 use crate::cache::CorpusCache;
 use crate::diskcache::{self, DiskCache, DiskStats};
@@ -45,17 +44,16 @@ pub struct BlockLabels<'a> {
 }
 
 /// Wall-clock attribution for one evaluated block, in nanoseconds.
-/// Summed into [`crate::report::RunTimings`] by the batch pipeline.
+/// Summed into [`crate::report::RunTimings`] by the corpus pipeline.
 #[derive(Debug, Clone, Default)]
 pub struct BlockTimings {
     pub parse_ns: u64,
     pub reference_ns: u64,
     pub predictors_ns: u64,
-    /// Cache time: in-memory kernel-cache *hits* plus persistent-cache
-    /// probes, record decodes, and writes. Disjoint from `parse_ns` (a
-    /// kernel lookup books under exactly one of the two) and from the
-    /// compute fields (a replayed block books no reference/predictor
-    /// time at all) — replay must never double-count as compute.
+    /// Persistent-cache probes, record decodes, and writes. Disjoint
+    /// from `parse_ns` and from the compute fields (a replayed block
+    /// books no parse, reference or predictor time at all) — replay must
+    /// never double-count as compute.
     pub cache_ns: u64,
     /// Per-predictor breakdown of `predictors_ns`, in `analytical` order.
     /// Empty for a block replayed from the persistent cache.
@@ -65,7 +63,7 @@ pub struct BlockTimings {
 /// Evaluate one parsed kernel on one machine: run the reference (if any)
 /// and every analytical predictor, compute RPEs against the reference,
 /// and apply the divergence rules. This is the single block evaluation
-/// both the batch pipeline and `incore-cli analyze --json` go through.
+/// both the corpus pipeline and `incore-cli analyze --json` go through.
 pub fn evaluate_block(
     machine: &Machine,
     kernel: &isa::Kernel,
@@ -135,7 +133,7 @@ pub fn evaluate_block_timed(
     (record, timings)
 }
 
-/// Builder for a batch validation run.
+/// Builder for a corpus validation run.
 ///
 /// Defaults mirror the paper's Fig. 3 setup: all three machines, the
 /// in-core model and the MCA baseline as analytical predictors, the
@@ -297,8 +295,7 @@ impl Session {
         Ok(machines)
     }
 
-    /// The work grid, shared verbatim by [`run`](Self::run) and
-    /// [`stream`](Self::stream): each machine's blocks in variant order —
+    /// The work grid: each machine's blocks in variant order —
     /// the standard validation grid (replica 0 only), or a volume corpus
     /// when [`volume`](Self::volume) is set — truncated by `limit`.
     fn grid_blocks(&self, machines: &[Machine]) -> Vec<(usize, VolumeBlock)> {
@@ -346,109 +343,69 @@ impl Session {
         }
     }
 
-    /// Run the full grid and collect the report.
+    /// Run the full grid and collect the report: [`stream`](Self::stream)
+    /// with the default window, every record kept in grid order.
     pub fn run(&self) -> Result<BatchReport, Error> {
-        let wall_start = Instant::now();
-        let cache = CorpusCache::new();
-        let machines = self.resolve_machines(&cache)?;
-        let disk = self.open_disk()?;
-        let keys = self.key_ctx(&machines);
-        let grid = self.grid_blocks(&machines);
-
-        let analytical: Vec<&dyn Predictor> = self.predictors.iter().map(|b| b.as_ref()).collect();
-        let reference = self.reference.as_deref();
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(self.threads)
-            .build()
-            .expect("thread pool construction is infallible");
-        let outcomes: Result<Vec<(RecordReport, BlockTimings)>, Error> = pool.install(|| {
-            grid.into_par_iter()
-                .map(|(mi, block)| {
-                    process_block(
-                        &machines[mi],
-                        &keys.fingerprints[mi],
-                        &block,
-                        Some(&cache),
-                        disk.as_ref(),
-                        &keys,
-                        &analytical,
-                        reference,
-                    )
-                })
-                .collect()
-        });
-        let (records, block_timings): (Vec<RecordReport>, Vec<BlockTimings>) =
-            outcomes?.into_iter().unzip();
+        let mut records = Vec::new();
+        let (outcome, calls) = self.stream_counted(0, |r| records.push(r))?;
         let mut report = BatchReport::from_records(
-            machines.iter().map(|m| m.name.to_string()).collect(),
-            self.predictors
-                .iter()
-                .map(|p| p.name().to_string())
-                .collect(),
-            self.reference.as_ref().map(|r| r.name().to_string()),
+            outcome.archs,
+            outcome.predictors,
+            outcome.reference,
             records,
-            cache.stats(),
+            outcome.cache,
         );
-        report.timings = fold_timings(wall_start, block_timings.iter());
-        let disk_stats = disk.as_ref().map(|d| d.stats());
+        report.timings = outcome.timings;
         if self.profile {
-            report.obs = Some(obs_summary(
+            report.obs = Some(calls.summary(
                 &self.predictors,
                 self.reference.as_deref(),
-                &block_timings,
-                report.cache,
-                disk_stats,
+                outcome.cache,
+                outcome.disk,
             ));
-        }
-        if obs::enabled() {
-            let c = report.cache;
-            obs::counter("engine.blocks", block_timings.len() as u64);
-            obs::counter("engine.cache.kernel_hits", c.kernel_hits);
-            obs::counter("engine.cache.kernel_misses", c.kernel_misses);
-            obs::counter("engine.cache.machine_hits", c.machine_hits);
-            obs::counter("engine.cache.machine_misses", c.machine_misses);
-            // Always zero here (batch runs are unbounded) but exported so
-            // the counter set matches a bounded server-side cache.
-            let ev = cache.evictions();
-            obs::counter("engine.cache.kernel_evictions", ev.kernel_evictions);
-            obs::counter("engine.cache.machine_evictions", ev.machine_evictions);
-            if let Some(s) = disk_stats {
-                obs_disk_counters(s);
-            }
         }
         Ok(report)
     }
 
-    /// Evaluate the grid as a bounded-memory stream: a producer feeds
-    /// blocks through a window-bounded queue to the worker pool, and
-    /// completed records are delivered to `on_record` **in grid order** —
-    /// at no point are more than O(window + threads) records resident, so
-    /// a volume corpus of any size runs in flat memory.
+    /// Evaluate the grid as a bounded-memory stream: worker threads take
+    /// blocks in grid order, and completed records are delivered to
+    /// `on_record` **in grid order**. No block is started more than
+    /// `window` positions past the last delivered record, so at most
+    /// `window` records are ever resident and a volume corpus of any
+    /// size runs in flat memory, even while one block stalls.
     ///
-    /// Determinism carries over from the batch path: the records passed
-    /// to `on_record` are byte-identical (when serialized) to the
-    /// corresponding [`run`](Self::run) records at any thread count.
-    /// Unlike `run`, the streaming path does **not** memoize kernel
-    /// parses across blocks — each block's text is parsed where it is
-    /// evaluated (the interned arena makes re-parsing cheap), keeping
-    /// per-block memory independent of corpus-wide text diversity. The
-    /// persistent cache (when configured) works exactly as in `run`.
+    /// The records passed to `on_record` are byte-identical (when
+    /// serialized) at any thread count and window. Each block's text is
+    /// parsed where it is evaluated (the interned arena makes re-parsing
+    /// cheap), keeping per-block memory independent of corpus-wide text
+    /// diversity; a block replayed from the persistent cache (when
+    /// configured) is not parsed at all.
     ///
-    /// `window` is the queue bound (`0` = 4 × threads, floor 64). On a
-    /// block error
-    /// the stream stops delivering at the failed block's position, drains
-    /// the in-flight work, and returns the earliest-position error.
+    /// `window` is the in-flight bound (`0` = 4 × threads, floor 64). On
+    /// a block error the stream stops handing out blocks, delivers every
+    /// record before the failed block's position, drains the in-flight
+    /// work, and returns the earliest-position error.
     pub fn stream(
         &self,
         window: usize,
-        mut on_record: impl FnMut(RecordReport),
+        on_record: impl FnMut(RecordReport),
     ) -> Result<StreamOutcome, Error> {
+        self.stream_counted(window, on_record)
+            .map(|(outcome, _)| outcome)
+    }
+
+    /// [`stream`](Self::stream), also returning the per-predictor call
+    /// tallies the profiled `obs` block is built from.
+    fn stream_counted(
+        &self,
+        window: usize,
+        mut on_record: impl FnMut(RecordReport),
+    ) -> Result<(StreamOutcome, PredictorCalls), Error> {
         let wall_start = Instant::now();
         let cache = CorpusCache::new();
         let machines = self.resolve_machines(&cache)?;
         let disk = self.open_disk()?;
         let keys = self.key_ctx(&machines);
-        let grid = self.grid_blocks(&machines);
         let threads = if self.threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -467,76 +424,83 @@ impl Session {
         };
         let analytical: Vec<&dyn Predictor> = self.predictors.iter().map(|b| b.as_ref()).collect();
         let reference = self.reference.as_deref();
-
-        type Outcome = Result<(RecordReport, BlockTimings), Error>;
-        let (work_tx, work_rx) = mpsc::sync_channel::<(usize, usize, VolumeBlock)>(window);
-        let work_rx = Arc::new(Mutex::new(work_rx));
-        let (res_tx, res_rx) = mpsc::sync_channel::<(usize, Outcome)>(window + threads);
+        let feed = Feed::new(self.grid_blocks(&machines), window);
+        // The feed keeps at most `window` results outstanding, so workers
+        // never block on this channel.
+        let (res_tx, res_rx) = mpsc::sync_channel::<(usize, Result<Evaluated, Error>)>(window);
 
         let mut emitted = 0usize;
         let mut first_err: Option<(usize, Error)> = None;
         let mut timings = RunTimings::default();
+        let mut calls = PredictorCalls {
+            predictor_ns: vec![0; analytical.len()],
+            ..PredictorCalls::default()
+        };
         {
             let machines = &machines;
             let keys = &keys;
             let disk = disk.as_ref();
             let analytical = &analytical;
+            let feed = &feed;
             rayon::scope(|s| {
-                s.spawn(move || {
-                    for (seq, (mi, block)) in grid.into_iter().enumerate() {
-                        if work_tx.send((seq, mi, block)).is_err() {
-                            break;
-                        }
-                    }
-                });
                 for _ in 0..threads {
-                    let work_rx = Arc::clone(&work_rx);
                     let res_tx = res_tx.clone();
-                    s.spawn(move || loop {
-                        let msg = work_rx.lock().expect("work queue poisoned").recv();
-                        let Ok((seq, mi, block)) = msg else { break };
-                        let out = process_block(
-                            &machines[mi],
-                            &keys.fingerprints[mi],
-                            &block,
-                            None,
-                            disk,
-                            keys,
-                            analytical,
-                            reference,
-                        );
-                        if res_tx.send((seq, out)).is_err() {
-                            break;
+                    s.spawn(move || {
+                        // A worker leaves only once the feed is spent or
+                        // closed (or it panicked): closing on the way out
+                        // releases the others either way.
+                        let _close = CloseOnDrop(feed);
+                        while let Some((seq, mi, block)) = feed.take() {
+                            let out = process_block(
+                                &machines[mi],
+                                &keys.fingerprints[mi],
+                                &block,
+                                disk,
+                                keys,
+                                analytical,
+                                reference,
+                            );
+                            if res_tx.send((seq, out)).is_err() {
+                                break;
+                            }
                         }
                     });
                 }
                 drop(res_tx);
+                // Should `on_record` panic, the workers must not wait on a
+                // delivery that never comes.
+                let _close = CloseOnDrop(feed);
                 // In-order delivery on this thread: a reorder buffer keyed
                 // by sequence number, drained whenever the next-expected
                 // block lands. An error becomes a wall at its position —
-                // later results are dropped (bounding the buffer), earlier
-                // ones still stream out.
-                let mut next = 0usize;
-                let mut buffer: BTreeMap<usize, (RecordReport, BlockTimings)> = BTreeMap::new();
+                // later results are dropped, earlier ones still stream out.
+                let mut buffer: BTreeMap<usize, RecordReport> = BTreeMap::new();
                 for (seq, out) in res_rx.iter() {
                     match out {
                         Err(e) => {
+                            feed.close();
                             if first_err.as_ref().is_none_or(|(s, _)| seq < *s) {
                                 first_err = Some((seq, e));
                                 buffer.retain(|s, _| *s < seq);
                             }
                         }
-                        Ok((record, t)) => {
-                            accumulate(&mut timings, &t);
+                        Ok(done) => {
+                            accumulate(&mut timings, &done.timings);
+                            if done.computed {
+                                calls.add(&done.timings);
+                            }
                             if first_err.as_ref().is_none_or(|(s, _)| seq < *s) {
-                                buffer.insert(seq, (record, t));
+                                buffer.insert(seq, done.record);
                             }
                         }
                     }
-                    while let Some((record, _)) = buffer.remove(&next) {
+                    let before = emitted;
+                    while let Some(record) = buffer.remove(&emitted) {
                         on_record(record);
                         emitted += 1;
-                        next += 1;
+                    }
+                    if emitted > before {
+                        feed.delivered(emitted);
                     }
                 }
             });
@@ -552,7 +516,7 @@ impl Session {
                 obs_disk_counters(s);
             }
         }
-        Ok(StreamOutcome {
+        let outcome = StreamOutcome {
             blocks: emitted,
             archs: machines.iter().map(|m| m.name.to_string()).collect(),
             predictors: self
@@ -564,27 +528,8 @@ impl Session {
             cache: cache.stats(),
             disk: disk_stats,
             timings,
-        })
-    }
-
-    /// [`stream`](Self::stream) into a full [`BatchReport`]: collects the
-    /// streamed records and assembles the same report shape as
-    /// [`run`](Self::run). The report is byte-identical to the batch one
-    /// after normalizing the observational fields (`timings`, and `cache`
-    /// — the streaming path does not memoize kernel parses, so its
-    /// corpus-cache counters legitimately differ).
-    pub fn run_streamed(&self, window: usize) -> Result<BatchReport, Error> {
-        let mut records = Vec::new();
-        let outcome = self.stream(window, |r| records.push(r))?;
-        let mut report = BatchReport::from_records(
-            outcome.archs.clone(),
-            outcome.predictors.clone(),
-            outcome.reference.clone(),
-            records,
-            outcome.cache,
-        );
-        report.timings = outcome.timings;
-        Ok(report)
+        };
+        Ok((outcome, calls))
     }
 }
 
@@ -600,12 +545,82 @@ pub struct StreamOutcome {
     pub predictors: Vec<String>,
     /// Name of the reference predictor, if one ran.
     pub reference: Option<String>,
-    /// In-memory cache counters (machine-file imports only — the stream
-    /// path does not memoize kernel parses).
+    /// In-memory cache counters: machine-file imports only (kernel
+    /// parses are not memoized, so the kernel counters stay zero).
     pub cache: crate::cache::CacheStats,
     /// Persistent-cache counters, when a cache directory was configured.
     pub disk: Option<DiskStats>,
     pub timings: RunTimings,
+}
+
+/// Hands grid blocks to the stream's workers in sequence order, never
+/// one whose sequence number is `window` or more past the consumer's
+/// delivery point — the stream's memory bound.
+struct Feed {
+    state: Mutex<FeedState>,
+    turn: Condvar,
+    window: usize,
+}
+
+struct FeedState {
+    blocks: std::vec::IntoIter<(usize, VolumeBlock)>,
+    /// Sequence number of the next block to hand out.
+    next: usize,
+    /// Records delivered to the sink so far.
+    delivered: usize,
+    /// Set on a block error or when a participant leaves: no further
+    /// blocks are handed out.
+    closed: bool,
+}
+
+impl Feed {
+    fn new(grid: Vec<(usize, VolumeBlock)>, window: usize) -> Self {
+        Feed {
+            state: Mutex::new(FeedState {
+                blocks: grid.into_iter(),
+                next: 0,
+                delivered: 0,
+                closed: false,
+            }),
+            turn: Condvar::new(),
+            window,
+        }
+    }
+
+    /// The next block as `(seq, machine index, block)`, waiting while it
+    /// would run `window` ahead of delivery; `None` once the grid is
+    /// spent or the feed closed.
+    fn take(&self) -> Option<(usize, usize, VolumeBlock)> {
+        let mut s = self.state.lock().expect("feed poisoned");
+        while !s.closed && s.next >= s.delivered + self.window {
+            s = self.turn.wait(s).expect("feed poisoned");
+        }
+        if s.closed {
+            return None;
+        }
+        let (mi, block) = s.blocks.next()?;
+        s.next += 1;
+        Some((s.next - 1, mi, block))
+    }
+
+    fn delivered(&self, delivered: usize) {
+        self.state.lock().expect("feed poisoned").delivered = delivered;
+        self.turn.notify_all();
+    }
+
+    fn close(&self) {
+        self.state.lock().expect("feed poisoned").closed = true;
+        self.turn.notify_all();
+    }
+}
+
+/// Closes the feed when dropped (a stream participant leaving).
+struct CloseOnDrop<'a>(&'a Feed);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
 }
 
 /// Fixed persistent-cache key parts for one session configuration.
@@ -624,122 +639,84 @@ fn isa_tag(isa: isa::Isa) -> &'static str {
     }
 }
 
-/// Evaluate one grid block — the single code path behind both the batch
-/// and streaming pipelines. Generates the block text, decodes it (through
-/// the shared cache when one is passed, else a direct arena parse),
-/// replays the record from the persistent cache when possible, and
-/// otherwise evaluates and stores it.
+/// One finished grid block.
+struct Evaluated {
+    record: RecordReport,
+    timings: BlockTimings,
+    /// Whether the predictors ran (false for a persistent-cache replay).
+    computed: bool,
+}
+
+/// Evaluate one grid block. Generates the block text, replays the record
+/// from the persistent cache when possible, and otherwise parses the
+/// text, evaluates it, and stores the record.
 ///
-/// Timing attribution: the kernel lookup books under `parse_ns` on a
-/// miss and `cache_ns` on a hit; persistent-cache probes, decodes, and
-/// writes always book under `cache_ns`. A replayed block therefore
-/// reports zero reference/predictor time — cache hits never double-count
-/// as compute.
-#[allow(clippy::too_many_arguments)]
+/// Timing attribution: the parse books under `parse_ns`; persistent-cache
+/// probes, decodes, and writes under `cache_ns`. A replayed block
+/// therefore reports zero parse, reference and predictor time — cache
+/// hits never double-count as compute.
 fn process_block(
     machine: &Machine,
     fingerprint: &str,
     block: &VolumeBlock,
-    cache: Option<&CorpusCache>,
     disk: Option<&DiskCache>,
     keys: &KeyCtx,
     analytical: &[&dyn Predictor],
     reference: Option<&dyn Predictor>,
-) -> Result<(RecordReport, BlockTimings), Error> {
+) -> Result<Evaluated, Error> {
     let asm = block.generate(machine);
     let kernel_label = block.kernel_label();
-    let mut timings = BlockTimings::default();
-    // Kernel decode, on demand: through the shared memo when one is
-    // passed (hit books under `cache_ns`, miss under `parse_ns`), else a
-    // direct arena parse (`parse_ns`).
-    let lookup = |timings: &mut BlockTimings| -> Result<Arc<isa::Kernel>, Error> {
-        let lookup_start = Instant::now();
-        match cache {
-            Some(c) => {
-                let (k, hit) = c
-                    .kernel_with_hit(&asm, machine.isa)
-                    .map_err(|e| e.with_context(block.variant.label()))?;
-                let ns = lookup_start.elapsed().as_nanos() as u64;
-                if hit {
-                    timings.cache_ns += ns;
-                } else {
-                    timings.parse_ns += ns;
-                }
-                Ok(k)
-            }
-            None => {
-                let k = isa::parse_kernel(&asm, machine.isa)
-                    .map(Arc::new)
-                    .map_err(|e| Error::from(e).with_context(block.variant.label()))?;
-                timings.parse_ns += lookup_start.elapsed().as_nanos() as u64;
-                Ok(k)
-            }
-        }
-    };
     let labels = BlockLabels {
         kernel: &kernel_label,
         compiler: block.variant.compiler.name(),
         opt: block.variant.opt.name(),
     };
-    let chip = machine.chip.to_string();
+    let key = [
+        diskcache::RECORD_CODEC_VERSION,
+        keys.schema.as_str(),
+        fingerprint,
+        keys.predictors.as_str(),
+        keys.reference.as_str(),
+        isa_tag(machine.isa),
+        asm.as_str(),
+    ];
+    let mut cache_ns = 0u64;
     if let Some(disk) = disk {
-        let key = [
-            diskcache::RECORD_CODEC_VERSION,
-            keys.schema.as_str(),
-            fingerprint,
-            keys.predictors.as_str(),
-            keys.reference.as_str(),
-            isa_tag(machine.isa),
-            asm.as_str(),
-        ];
         let probe_start = Instant::now();
+        let chip = machine.chip.to_string();
         let replayed = disk.get(&key).and_then(|payload| {
             diskcache::decode_record(&payload, &kernel_label, labels.compiler, labels.opt, &chip)
         });
-        timings.cache_ns += probe_start.elapsed().as_nanos() as u64;
+        cache_ns += probe_start.elapsed().as_nanos() as u64;
         if let Some(record) = replayed {
-            // Batch parity: the kernel memo still sees every block, so a
-            // warm run reports the same cache counters as a cold one. The
-            // streaming path has no memo — a replay skips the parse.
-            if cache.is_some() {
-                let _ = lookup(&mut timings)?;
-            }
-            return Ok((record, timings));
+            return Ok(Evaluated {
+                record,
+                timings: BlockTimings {
+                    cache_ns,
+                    ..BlockTimings::default()
+                },
+                computed: false,
+            });
         }
-        let kernel = lookup(&mut timings)?;
-        let (record, computed) =
-            evaluate_block_timed(machine, &kernel, labels, analytical, reference);
-        merge_computed(&mut timings, computed);
+    }
+    let parse_start = Instant::now();
+    let kernel = isa::parse_kernel(&asm, machine.isa)
+        .map_err(|e| Error::from(e).with_context(block.variant.label()))?;
+    let parse_ns = parse_start.elapsed().as_nanos() as u64;
+    let (record, mut timings) =
+        evaluate_block_timed(machine, &kernel, labels, analytical, reference);
+    if let Some(disk) = disk {
         let put_start = Instant::now();
         disk.put(&key, &diskcache::encode_record(&record));
-        timings.cache_ns += put_start.elapsed().as_nanos() as u64;
-        return Ok((record, timings));
+        cache_ns += put_start.elapsed().as_nanos() as u64;
     }
-    let kernel = lookup(&mut timings)?;
-    let (record, computed) = evaluate_block_timed(machine, &kernel, labels, analytical, reference);
-    merge_computed(&mut timings, computed);
-    Ok((record, timings))
-}
-
-/// Fold an `evaluate_block_timed` result into the block's timings (the
-/// lookup fields were already booked by the caller).
-fn merge_computed(timings: &mut BlockTimings, computed: BlockTimings) {
-    timings.reference_ns += computed.reference_ns;
-    timings.predictors_ns += computed.predictors_ns;
-    timings.per_predictor_ns = computed.per_predictor_ns;
-}
-
-/// Sum per-block timings into the report's [`RunTimings`].
-fn fold_timings<'a>(
-    wall_start: Instant,
-    blocks: impl Iterator<Item = &'a BlockTimings>,
-) -> RunTimings {
-    let mut t = RunTimings::default();
-    for b in blocks {
-        accumulate(&mut t, b);
-    }
-    t.wall_ms = wall_start.elapsed().as_nanos() as f64 / 1e6;
-    t
+    timings.parse_ns = parse_ns;
+    timings.cache_ns = cache_ns;
+    Ok(Evaluated {
+        record,
+        timings,
+        computed: true,
+    })
 }
 
 fn accumulate(t: &mut RunTimings, b: &BlockTimings) {
@@ -759,55 +736,69 @@ fn obs_disk_counters(s: DiskStats) {
     obs::counter("engine.diskcache.corrupt", s.corrupt);
 }
 
-/// Fold the per-block timing vectors into the report's [`ObsSummary`]:
-/// one [`ObsPredictorTimings`] row per analytical predictor (in session
-/// order), the reference appended last when one ran.
-fn obs_summary(
-    predictors: &[Box<dyn Predictor>],
-    reference: Option<&dyn Predictor>,
-    block_timings: &[BlockTimings],
-    cache: crate::cache::CacheStats,
-    disk: Option<DiskStats>,
-) -> ObsSummary {
-    let calls = block_timings.len() as u64;
-    let row = |name: &str, total_ns: u64| ObsPredictorTimings {
-        predictor: name.to_string(),
-        calls,
-        total_ns,
-        mean_ns: if calls == 0 {
-            0.0
-        } else {
-            total_ns as f64 / calls as f64
-        },
-    };
-    let mut rows: Vec<ObsPredictorTimings> = predictors
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let total: u64 = block_timings
-                .iter()
-                .map(|t| t.per_predictor_ns.get(i).copied().unwrap_or(0))
-                .sum();
-            row(p.name(), total)
-        })
-        .collect();
-    if let Some(r) = reference {
-        let total: u64 = block_timings.iter().map(|t| t.reference_ns).sum();
-        rows.push(row(r.name(), total));
+/// Predictor calls a stream made: every computed block calls each
+/// analytical predictor and the reference once; a replayed block calls
+/// none.
+#[derive(Default)]
+struct PredictorCalls {
+    blocks: u64,
+    /// Per analytical predictor, in session order.
+    predictor_ns: Vec<u64>,
+    reference_ns: u64,
+}
+
+impl PredictorCalls {
+    fn add(&mut self, t: &BlockTimings) {
+        self.blocks += 1;
+        for (sum, ns) in self.predictor_ns.iter_mut().zip(&t.per_predictor_ns) {
+            *sum += ns;
+        }
+        self.reference_ns += t.reference_ns;
     }
-    let lookups = cache.kernel_hits + cache.kernel_misses;
-    ObsSummary {
-        schema_minor: SCHEMA_MINOR,
-        predictors: rows,
-        cache_hit_rate: if lookups == 0 {
-            0.0
-        } else {
-            cache.kernel_hits as f64 / lookups as f64
-        },
-        disk_hit_rate: disk.map(|d| d.hit_rate()),
-        disk_hits: disk.map(|d| d.hits),
-        disk_misses: disk.map(|d| d.misses),
-        disk_evictions: disk.map(|d| d.evictions),
+
+    /// The report's [`ObsSummary`]: one [`ObsPredictorTimings`] row per
+    /// analytical predictor (in session order), the reference appended
+    /// last when one ran.
+    fn summary(
+        &self,
+        predictors: &[Box<dyn Predictor>],
+        reference: Option<&dyn Predictor>,
+        cache: crate::cache::CacheStats,
+        disk: Option<DiskStats>,
+    ) -> ObsSummary {
+        let calls = self.blocks;
+        let row = |name: &str, total_ns: u64| ObsPredictorTimings {
+            predictor: name.to_string(),
+            calls,
+            total_ns,
+            mean_ns: if calls == 0 {
+                0.0
+            } else {
+                total_ns as f64 / calls as f64
+            },
+        };
+        let mut rows: Vec<ObsPredictorTimings> = predictors
+            .iter()
+            .enumerate()
+            .map(|(i, p)| row(p.name(), self.predictor_ns[i]))
+            .collect();
+        if let Some(r) = reference {
+            rows.push(row(r.name(), self.reference_ns));
+        }
+        let lookups = cache.kernel_hits + cache.kernel_misses;
+        ObsSummary {
+            schema_minor: SCHEMA_MINOR,
+            predictors: rows,
+            cache_hit_rate: if lookups == 0 {
+                0.0
+            } else {
+                cache.kernel_hits as f64 / lookups as f64
+            },
+            disk_hit_rate: disk.map(|d| d.hit_rate()),
+            disk_hits: disk.map(|d| d.hits),
+            disk_misses: disk.map(|d| d.misses),
+            disk_evictions: disk.map(|d| d.evictions),
+        }
     }
 }
 
@@ -833,10 +824,9 @@ mod tests {
             assert!(r.predictions[0].rpe.is_some());
         }
         assert_eq!(report.summary("incore").unwrap().count, 6);
-        // Every record decoded exactly once; all lookups hit or miss.
-        let c = report.cache;
-        assert_eq!(c.kernel_hits + c.kernel_misses, 6);
-        assert!(c.kernel_misses >= 1);
+        // Kernels are parsed where they are evaluated, not memoized, and
+        // no machine file was imported.
+        assert_eq!(report.cache, crate::cache::CacheStats::default());
     }
 
     #[test]
@@ -953,20 +943,19 @@ mod tests {
             .archs(&[uarch::Arch::GoldenCove])
             .limit(6)
             .threads(2);
-        let batch = session.run().unwrap();
+        let collected = session.run().unwrap();
         let mut streamed = Vec::new();
         let outcome = session.stream(3, |r| streamed.push(r)).unwrap();
         assert_eq!(outcome.blocks, 6);
-        assert_eq!(outcome.archs, batch.archs);
+        assert_eq!(outcome.archs, collected.archs);
         assert_eq!(
             serde_json::to_string(&streamed).unwrap(),
-            serde_json::to_string(&batch.records).unwrap(),
-            "streamed records must be byte-identical to the batch ones"
+            serde_json::to_string(&collected.records).unwrap(),
+            "the window may not change a record byte or the order"
         );
         assert!(outcome.timings.reference_ms > 0.0);
-        // No kernel memoization on the stream path: the corpus cache only
-        // served machine-file imports (none here).
-        assert_eq!(outcome.cache.kernel_hits + outcome.cache.kernel_misses, 0);
+        assert!(outcome.timings.parse_ms > 0.0);
+        assert_eq!(outcome.cache, crate::cache::CacheStats::default());
     }
 
     #[test]
@@ -1010,11 +999,11 @@ mod tests {
         );
         assert!(warm.timings.cache_ms > 0.0);
         assert_eq!(
-            warm.timings.predictors_ms, 0.0,
-            "replayed blocks book no compute time"
+            (warm.timings.predictors_ms, warm.timings.parse_ms),
+            (0.0, 0.0),
+            "replayed blocks book no compute or parse time"
         );
-        // The streaming path shares the same cache: a third pass replays
-        // every block from disk.
+        // A third pass through `stream` replays every block from disk.
         let mut streamed = Vec::new();
         let outcome = session.stream(0, |r| streamed.push(r)).unwrap();
         let d = outcome.disk.expect("cache_dir was configured");

@@ -1,7 +1,7 @@
-//! Equivalence suite for the throughput pipeline: the streaming session,
-//! the persistent result cache, and the interned parse path must all be
-//! *invisible* in the report bytes — they may only change how fast the
-//! answer arrives, never the answer.
+//! Equivalence suite for the throughput pipeline: the thread count, the
+//! stream window, the persistent result cache, and the interned parse
+//! path must all be *invisible* in the report bytes — they may only
+//! change how fast the answer arrives, never the answer.
 
 use proptest::prelude::*;
 
@@ -18,14 +18,26 @@ fn session(threads: usize) -> engine::Session {
         .reference(None)
 }
 
-/// Report JSON with the observational blocks zeroed: `timings` is wall
-/// clock and `cache` counters legitimately differ between the batch
-/// (kernel-memoizing) and streaming (parse-where-evaluated) paths.
+/// Report JSON with the wall-clock `timings` block zeroed.
 fn normalized(report: &engine::BatchReport) -> String {
     let mut r = report.clone();
     r.timings = Default::default();
-    r.cache = Default::default();
     r.to_json()
+}
+
+/// The report `stream` delivers at `window`, assembled as `run` does.
+fn streamed(session: &engine::Session, window: usize) -> engine::BatchReport {
+    let mut records = Vec::new();
+    let outcome = session
+        .stream(window, |r| records.push(r))
+        .expect("stream runs");
+    engine::BatchReport::from_records(
+        outcome.archs,
+        outcome.predictors,
+        outcome.reference,
+        records,
+        outcome.cache,
+    )
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -35,22 +47,23 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 }
 
 #[test]
-fn streaming_matches_batch_at_one_and_eight_threads() {
-    let golden = normalized(&session(1).run().expect("batch runs"));
+fn one_path_is_thread_and_window_invariant() {
+    let golden = session(1).run().expect("runs");
+    assert_eq!(golden.records.len(), BLOCKS);
+    let golden = normalized(&golden);
     for threads in [1usize, 8] {
-        let batch = session(threads).run().expect("batch runs");
-        let streamed = session(threads).run_streamed(0).expect("stream runs");
-        assert_eq!(batch.records.len(), BLOCKS);
         assert_eq!(
-            normalized(&batch),
+            normalized(&session(threads).run().expect("runs")),
             golden,
-            "batch report must not depend on thread count ({threads})"
+            "report must not depend on thread count ({threads})"
         );
-        assert_eq!(
-            normalized(&streamed),
-            golden,
-            "streamed report must be byte-identical to batch ({threads})"
-        );
+        for window in [1usize, 3] {
+            assert_eq!(
+                normalized(&streamed(&session(threads), window)),
+                golden,
+                "report must not depend on the window ({threads} threads, window {window})"
+            );
+        }
     }
 }
 
@@ -64,12 +77,22 @@ fn warm_cache_run_is_byte_identical_to_cold() {
         normalized(&warm),
         "a disk-replayed run may not change a byte of the report"
     );
-    // The streaming path shares the same cache entries.
-    let streamed = session(2)
+    // A narrow-window stream replays the same cache entries.
+    let replayed = streamed(&session(2).cache_dir(&dir), 1);
+    assert_eq!(normalized(&replayed), normalized(&cold));
+    // A profiled run carries the `obs` block, disk counters included,
+    // and is otherwise the same report.
+    let mut profiled = session(2)
         .cache_dir(&dir)
-        .run_streamed(0)
-        .expect("warm stream runs");
-    assert_eq!(normalized(&streamed), normalized(&cold));
+        .profile(true)
+        .run()
+        .expect("profiled warm runs");
+    let obs = profiled.obs.take().expect("profiled run carries obs");
+    assert_eq!(
+        (obs.disk_hits, obs.disk_misses, obs.disk_hit_rate),
+        (Some(BLOCKS as u64), Some(0), Some(1.0))
+    );
+    assert_eq!(normalized(&profiled), normalized(&cold));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -117,6 +140,22 @@ fn damaged_cache_entries_fall_back_to_recompute() {
         "damage costs exactly the three damaged frames"
     );
     assert_eq!(
+        obs.predictors
+            .iter()
+            .map(|p| p.predictor.as_str())
+            .collect::<Vec<_>>(),
+        ["incore", "mca"]
+    );
+    for p in &obs.predictors {
+        assert_eq!(
+            Some(p.calls),
+            obs.disk_misses,
+            "{}: only recomputed blocks call a predictor",
+            p.predictor
+        );
+        assert!(p.total_ns > 0 && p.mean_ns > 0.0, "{p:?}");
+    }
+    assert_eq!(
         normalized(&warm),
         normalized(&cold),
         "recomputed records must replace the damaged entries bit-for-bit"
@@ -132,6 +171,13 @@ fn damaged_cache_entries_fall_back_to_recompute() {
         (obs.disk_hits, obs.disk_misses),
         (Some(BLOCKS as u64), Some(0))
     );
+    for p in &obs.predictors {
+        assert_eq!(
+            (p.calls, p.total_ns, p.mean_ns),
+            (0, 0, 0.0),
+            "a fully replayed run calls no predictor: {p:?}"
+        );
+    }
     assert_eq!(normalized(&healed), normalized(&cold));
     let _ = std::fs::remove_dir_all(&dir);
 }
